@@ -1,33 +1,28 @@
-"""E12 — shard-pruned and shared-memory worker replicas (PR 7).
+"""E12 — shard-pruned worker replicas.
 
-The process pool's full-replica protocol broadcasts every engine mutation
-to every worker and rebuilds complete replica stores on each full run.
-This bench measures what the shard-pruned layouts save, on a skew-free
-two-relation join churned from the ``left`` side:
+A process worker holds a replica of only the (relation, primary shard)
+partitions its task classes probe, synced by per-worker slices of the
+engine's mutation ledger and backfilled lazily.  This bench measures what
+that layout ships and holds, on a skew-free two-relation join churned
+from the ``left`` side:
 
-* **Sync bytes per round, per replica mode.**  ``joined`` deltas dominate
-  the engine's change sets; no rule probes ``joined``, so the pruned
-  modes never ship it at all, and the base-relation slices go only to the
-  workers whose task classes probe those partitions.  The headline gate
-  — ``speedup_pruned_vs_full_sync`` — is the ratio of bytes actually
-  written to worker pipes for syncs (full / pruned): a pure byte count,
+* **Sync bytes.**  ``joined`` deltas dominate the engine's change sets;
+  no rule probes ``joined``, so it is never shipped at all, and the
+  base-relation slices go only to the workers whose task classes probe
+  those partitions.  The headline gate — ``speedup_pruned_vs_full_sync``
+  — compares the bytes actually written to worker pipes for syncs with
+  what broadcasting every change set to every worker would ship: the
+  canonical change-set bytes times the worker count.  A pure byte count,
   independent of the hardware the bench runs on.  The acceptance target
   at 8 shards x 8 workers is >= 5x.
 
-* **Per-worker replica residency.**  Full replicas hold every base row on
-  every worker; pruned replicas hold only the subscribed partitions
-  (reported as the max resident rows across workers, from the executor's
-  exact ledger-derived counts).
+* **Per-worker replica residency**, reported as the max resident rows
+  across workers (from the executor's exact ledger-derived counts),
+  against the rows a complete replica of the engine store would hold.
 
-* **Churn throughput per mode.**  Same adds/retracts, same fixpoints —
-  the shard-diff oracle gates bit-identity in CI, and the bench
-  re-checks the store fingerprints across all modes plus a serial
-  reference.
-
-``shared`` mode additionally publishes the baseline base-fact partitions
-as sealed shared-memory row blocks: its backfills map segments instead of
-copying rows through pipes, which the trajectory records as
-``shared_mem_remaps`` and reduced backfill pipe traffic.
+* **Churn throughput.**  The bench re-checks the store fingerprint
+  against a serial reference; the shard-diff oracle gates bit-identity
+  in CI.
 """
 
 import time
@@ -50,19 +45,12 @@ RULES = """
     heavy(L) :- joined(L, R), R >= 0.
 """
 
-#: (label, replica_mode) — identical engine layout, only the replica
-#: protocol differs.
-MODES = ("full", "pruned", "shared")
-
-
-def _config(replica_mode: str) -> ShardConfig:
-    return ShardConfig(
-        shards=SHARDS,
-        executor="process",
-        max_workers=WORKERS,
-        min_parallel_rows=0,  # every round dispatches: sync traffic is the point
-        replica_mode=replica_mode,
-    )
+PROCESS_CONFIG = ShardConfig(
+    shards=SHARDS,
+    executor="process",
+    max_workers=WORKERS,
+    min_parallel_rows=0,  # every round dispatches: sync traffic is the point
+)
 
 
 def _build_engine(config: ShardConfig | None) -> SemiNaiveEngine:
@@ -83,8 +71,8 @@ def _churn_rows(round_index: int) -> list[tuple[int, int]]:
     return [(base + j, (base + j) % N_KEYS) for j in range(CHURN_BATCH)]
 
 
-def _run_mode(replica_mode: str) -> dict:
-    engine = _build_engine(_config(replica_mode))
+def _run_pruned() -> dict:
+    engine = _build_engine(PROCESS_CONFIG)
     try:
         start = time.perf_counter()
         engine.run()
@@ -105,11 +93,10 @@ def _run_mode(replica_mode: str) -> dict:
         telemetry = engine._executor.telemetry()
         rounds = 2 * CHURN_ROUNDS
         return {
-            "mode": replica_mode,
             "initial_run_ms": round(initial_s * 1000, 2),
             "churn_ops_per_s": round(churn_ops / churn_s, 1) if churn_s else 0.0,
-            # Engine-side canonical change-set volume: identical across
-            # modes (what the engine mutated, not what was shipped).
+            # Engine-side canonical change-set volume (what the engine
+            # mutated, not what was shipped).
             "sync_rows_canonical": engine.stats.sync_rows,
             "sync_bytes_canonical": engine.stats.sync_bytes,
             # Executor-side shipped volume: what actually crossed pipes.
@@ -118,9 +105,10 @@ def _run_mode(replica_mode: str) -> dict:
             "sync_bytes_per_round": round(telemetry["sync_bytes_shipped"] / rounds, 1),
             "replica_backfills": telemetry["replica_backfills"],
             "backfill_rows": telemetry["backfill_rows"],
-            "shared_mem_remaps": telemetry["shared_mem_remaps"],
             "bytes_to_workers": telemetry["bytes_to_workers"],
             "max_replica_rows": max(telemetry["replica_rows"]),
+            # What one complete replica of the engine store would hold.
+            "store_rows": sum(len(rows) for rows in engine.store.snapshot().values()),
             "derived_joined": len(engine.facts("joined")),
             "fingerprint": engine.store.fingerprint(),
         }
@@ -128,7 +116,7 @@ def _run_mode(replica_mode: str) -> dict:
         engine.close()
 
 
-def test_e12_replica_modes(emit, emit_bench_json):
+def test_e12_pruned_replicas(emit, emit_bench_json):
     serial = _build_engine(None)
     try:
         serial.run()
@@ -142,33 +130,19 @@ def test_e12_replica_modes(emit, emit_bench_json):
     finally:
         serial.close()
 
-    records = [_run_mode(mode) for mode in MODES]
-    by_mode = {r["mode"]: r for r in records}
-
-    # Bit-identity: every replica mode lands on the serial fixpoint.
-    for record in records:
-        assert record.pop("fingerprint") == reference_fp, record["mode"]
-    # The canonical change sets are mode-independent by construction.
-    assert len({r["sync_rows_canonical"] for r in records}) == 1
-    assert len({r["sync_bytes_canonical"] for r in records}) == 1
-
-    full, pruned, shared = (by_mode[m] for m in MODES)
-    speedup_pruned = (
-        full["sync_bytes_shipped"] / pruned["sync_bytes_shipped"]
+    pruned = _run_pruned()
+    # Bit-identity: the pruned replicas land on the serial fixpoint.
+    assert pruned.pop("fingerprint") == reference_fp
+    # Broadcasting every canonical change set to every worker would ship
+    # exactly this many sync bytes.
+    broadcast_bytes = pruned["sync_bytes_canonical"] * WORKERS
+    speedup = (
+        broadcast_bytes / pruned["sync_bytes_shipped"]
         if pruned["sync_bytes_shipped"]
         else float("inf")
     )
-    speedup_shared = (
-        full["sync_bytes_shipped"] / shared["sync_bytes_shipped"]
-        if shared["sync_bytes_shipped"]
-        else float("inf")
-    )
-
-    # Pruned workers hold strictly less than full replicas; shared mode
-    # actually mapped baseline segments.
-    assert pruned["max_replica_rows"] < full["max_replica_rows"]
-    assert shared["shared_mem_remaps"] > 0
-    assert full["replica_backfills"] == 0
+    # Pruned workers hold strictly less than a complete replica would.
+    assert pruned["max_replica_rows"] < pruned["store_rows"]
     assert pruned["replica_backfills"] > 0
 
     emit_bench_json(
@@ -183,26 +157,26 @@ def test_e12_replica_modes(emit, emit_bench_json):
                 "shards": SHARDS,
                 "workers": WORKERS,
             },
-            "speedup_pruned_vs_full_sync": round(speedup_pruned, 2),
-            "speedup_shared_vs_full_sync": round(speedup_shared, 2),
-            "modes": records,
+            "speedup_pruned_vs_full_sync": round(speedup, 2),
+            "broadcast_sync_bytes": broadcast_bytes,
+            "pruned": pruned,
         },
     )
     emit(format_table(
-        ("mode", "churn ops/s", "sync B/round", "shipped sync B",
-         "backfills", "shm remaps", "max replica rows"),
-        [
-            (r["mode"], r["churn_ops_per_s"], r["sync_bytes_per_round"],
-             r["sync_bytes_shipped"], r["replica_backfills"],
-             r["shared_mem_remaps"], r["max_replica_rows"])
-            for r in records
-        ],
+        ("churn ops/s", "sync B/round", "shipped sync B", "broadcast sync B",
+         "backfills", "max replica rows", "store rows"),
+        [(
+            pruned["churn_ops_per_s"], pruned["sync_bytes_per_round"],
+            pruned["sync_bytes_shipped"], broadcast_bytes,
+            pruned["replica_backfills"], pruned["max_replica_rows"],
+            pruned["store_rows"],
+        )],
         title=(
-            f"E12 — replica modes at {SHARDS} shards x {WORKERS} workers "
-            f"(churn {CHURN_ROUNDS}x{2 * CHURN_BATCH} ops)"
+            f"E12 — pruned replicas at {SHARDS} shards x {WORKERS} workers "
+            f"(churn {CHURN_ROUNDS}x{2 * CHURN_BATCH} ops): "
+            f"{speedup:.2f}x fewer sync bytes than broadcast"
         ),
     ))
     # The headline gate: pruned sync traffic is a byte count, so the
     # >=5x reduction holds on any hardware, smoke mode included.
-    assert speedup_pruned >= 5.0, (full, pruned)
-    assert speedup_shared >= 5.0, (full, shared)
+    assert speedup >= 5.0, pruned

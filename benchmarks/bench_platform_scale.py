@@ -80,10 +80,11 @@ def test_e9_platform_task_volume(benchmark, emit):
     assert len(pool) == N_TASKS
 
 
-def _steady_state_platform(incremental: bool) -> Crowd4U:
+def _steady_state_platform(full: bool) -> Crowd4U:
     """A recruiting-phase deployment: N_POOL workers, N_SEGMENTS pending
-    CyLog tasks whose teams never fill (nobody declares interest)."""
-    platform = Crowd4U(seed=3, incremental=incremental)
+    CyLog tasks whose teams never fill (nobody declares interest); its
+    rounds are full recomputes when ``full``."""
+    platform = Crowd4U(seed=3)
     # Register straight through the worker manager: the platform-level
     # affinity extension is O(existing workers) per registration and is not
     # what this scenario measures.  Facts reach the processor in one batch
@@ -107,11 +108,11 @@ def _steady_state_platform(incremental: bool) -> Crowd4U:
     platform.register_project(
         "subs", "req", source, constraints=TeamConstraints(min_size=3),
     )
-    platform.step()  # generate the tasks + derive initial eligibility
+    platform.step(full=full)  # generate the tasks + derive initial eligibility
     return platform
 
 
-def _run_steady_rounds(platform: Crowd4U) -> float:
+def _run_steady_rounds(platform: Crowd4U, full: bool = False) -> float:
     """Advance N_ROUNDS with one worker profile edit per round (churn that
     does not change the eligible set) and repeated reads of a hot set of
     worker pages; returns the elapsed wall-clock seconds."""
@@ -126,19 +127,19 @@ def _run_steady_rounds(platform: Crowd4U) -> float:
         platform.update_worker_factors(
             editor, replace(factors, region=f"round-{round_index}")
         )
-        platform.step()
+        platform.step(full=full)
         for worker_id in hot_pages:
             render_worker_page(platform, worker_id)
     return time.perf_counter() - start
 
 
 def test_e9b_incremental_steady_state(benchmark, emit):
-    incremental = _steady_state_platform(incremental=True)
-    full = _steady_state_platform(incremental=False)
+    incremental = _steady_state_platform(full=False)
+    full = _steady_state_platform(full=True)
     inc_s = benchmark.pedantic(
         _run_steady_rounds, args=(incremental,), rounds=1, iterations=1
     )
-    full_s = _run_steady_rounds(full)
+    full_s = _run_steady_rounds(full, full=True)
     speedup = full_s / inc_s if inc_s else float("inf")
     stats = incremental.stats
     cache = incremental.db.query_cache.stats

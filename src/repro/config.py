@@ -9,8 +9,7 @@ validated value object:
 >>> from repro import Crowd4U, RuntimeConfig
 >>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="thread"))
 
-``config=`` is the only spelling: the per-knob keywords deprecated in
-the PR-6 redesign have been removed.  The serving slice nests as a
+``config=`` is the only spelling.  The serving slice nests as a
 frozen :class:`~repro.serving.config.ServingConfig`
 (``RuntimeConfig(serving=ServingConfig(port=8080))``), and
 :meth:`RuntimeConfig.build_server` is the one way to construct a
@@ -32,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _BACKENDS = ("memory", "wal", "sqlite")
 _EXECUTORS = ("serial", "thread", "process")
-_REPLICA_MODES = ("full", "pruned", "shared")
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,9 @@ class RuntimeConfig:
 
     Evaluation: ``shards`` / ``executor`` / ``max_workers`` /
     ``exchange`` configure the CyLog engine exactly like
-    :class:`~repro.cylog.sharding.ShardConfig`.  ``replica_mode``
-    selects the process-worker replica layout — ``"full"`` (every worker
-    holds a complete replica store), ``"pruned"`` (each worker holds only
-    the (relation, shard) partitions its tasks probe, backfilled lazily)
-    or ``"shared"`` (pruned subscriptions with baseline partitions mapped
-    from ``multiprocessing.shared_memory`` instead of copied through
-    pipes).  All three are bit-identical; the knob trades replica memory
-    and sync bytes only.  Ignored unless ``executor="process"``.
+    :class:`~repro.cylog.sharding.ShardConfig`.  With
+    ``executor="process"`` each worker holds a replica of only the
+    (relation, shard) partitions its tasks probe, backfilled lazily.
 
     Memory: ``support_budget`` caps how many support entries the
     incremental engine's provenance index may hold; past the cap the
@@ -74,7 +67,6 @@ class RuntimeConfig:
     executor: str = "serial"
     max_workers: int | None = None
     exchange: bool = True
-    replica_mode: str = "full"
     support_budget: int | None = None
     serving: ServingConfig = field(default_factory=ServingConfig)
 
@@ -93,11 +85,6 @@ class RuntimeConfig:
             )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.replica_mode not in _REPLICA_MODES:
-            raise ValueError(
-                f"unknown replica_mode {self.replica_mode!r}; expected one of "
-                f"{_REPLICA_MODES}"
-            )
         if self.support_budget is not None and self.support_budget < 0:
             raise ValueError(
                 f"support_budget must be >= 0 or None, got {self.support_budget}"
@@ -120,7 +107,6 @@ class RuntimeConfig:
             executor=self.executor,
             max_workers=self.max_workers,
             exchange=self.exchange,
-            replica_mode=self.replica_mode,
         )
 
     def build_database(self) -> "Database":

@@ -56,13 +56,13 @@ class AffinityMatrix:
     # -- team aggregations -------------------------------------------------------
     def intra_affinity(self, team: Sequence[str]) -> float:
         """Sum of pairwise affinities inside ``team`` (the clique weight
-        maximised by the assignment algorithms)."""
+        maximised by the assignment algorithms).  ``math.fsum`` rounds once,
+        so the score is bit-identical for every ordering of the members."""
         members = list(team)
-        total = 0.0
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                total += self.get(a, b)
-        return total
+        get = self.get
+        return math.fsum(
+            [get(a, b) for i, a in enumerate(members) for b in members[i + 1:]]
+        )
 
     def density(self, team: Sequence[str]) -> float:
         """Mean pairwise affinity (0.0 for singleton teams)."""

@@ -21,11 +21,10 @@ applies exactly those change sets to the Eligible ledger — no fingerprint
 guessing.  Constraint-screen projects (no ``eligible`` rule) are driven by
 a per-round dirty-worker set, and a task that sat outside the pending pool
 (proposed/active) re-derives in full when it returns, since it missed the
-change feeds in between.  ``step(full=True)`` — or
-``Crowd4U(incremental=False)`` — is the recompute-everything escape hatch,
-and ``step(cross_check=True)`` runs an engine-diff-style oracle that
-verifies the incrementally maintained ledger against a from-scratch
-recomputation.  Work counters live in :class:`PlatformStats`.
+change feeds in between.  ``step(full=True)`` is the recompute-everything
+escape hatch, and ``step(cross_check=True)`` runs an engine-diff-style
+oracle that verifies the incrementally maintained ledger against a
+from-scratch recomputation.  Work counters live in :class:`PlatformStats`.
 
 Every project's CyLog engine can be hash-sharded and evaluated in
 parallel (``Crowd4U(config=RuntimeConfig(shards=8, executor="thread"))``
@@ -189,14 +188,12 @@ class Crowd4U:
         seed: int = 0,
         db: Database | None = None,
         affinity_weights: AffinityWeights | None = None,
-        incremental: bool = True,
         *,
         config: RuntimeConfig | None = None,
     ) -> None:
         self.config = config = config if config is not None else RuntimeConfig()
         self.seed = seed
         self.now = 0.0
-        self.incremental = incremental
         self.shard_config = config.to_shard_config()
         self.stats = PlatformStats()
         #: An explicitly supplied database wins; otherwise the config
@@ -541,20 +538,18 @@ class Crowd4U:
     def step(
         self,
         dt: float = 1.0,
-        full: bool | None = None,
+        full: bool = False,
         cross_check: bool = False,
     ) -> dict[str, int]:
         """Advance time and run one platform round.
 
-        ``full=True`` forces the recompute-everything round regardless of
-        the instance's ``incremental`` setting (``full=False`` forces the
-        incremental round); ``cross_check=True`` additionally verifies the
-        incremental bookkeeping against a from-scratch eligibility
-        recomputation, engine-diff style, raising :class:`PlatformError` on
-        divergence.
+        ``full=True`` forces the recompute-everything round;
+        ``cross_check=True`` additionally verifies the incremental
+        bookkeeping against a from-scratch eligibility recomputation,
+        engine-diff style, raising :class:`PlatformError` on divergence.
         """
         self.now += dt
-        incremental = self.incremental if full is None else not full
+        incremental = not full
         self.stats.rounds += 1
         generated_before = len(self.pool)
         for processor in self._processors.values():

@@ -39,8 +39,9 @@ the baseline for the E10 bench.  Both report work counters through
 
 from __future__ import annotations
 
+import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -67,7 +68,6 @@ from repro.cylog.incremental import (
 from repro.cylog.indexes import IntervalHierarchyIndex, TupleIndexSet
 from repro.cylog.pretty import explain_rule
 from repro.cylog.safety import (
-    PLANNERS,
     CompiledProgram,
     CompiledRule,
     IntervalSpec,
@@ -128,15 +128,13 @@ class EngineStats:
     #: Replica-sync telemetry (distributed executors only; zero elsewhere).
     #: ``sync_rows`` / ``sync_bytes`` measure the engine-side mutation
     #: stream — net rows flushed to worker replicas and the canonical
-    #: payload size — so they are identical at any worker count and in any
-    #: replica mode.  ``replica_backfills`` / ``shared_mem_remaps`` count
-    #: executor-side partition movements (lazy backfills on subscription
-    #: growth, shared-memory segment rebuilds) and depend on how many
-    #: workers the partitions are spread over.
+    #: payload size — so they are identical at any worker count.
+    #: ``replica_backfills`` counts executor-side partition movements (lazy
+    #: backfills on subscription growth) and depends on how many workers
+    #: the partitions are spread over.
     sync_rows: int = 0
     sync_bytes: int = 0
     replica_backfills: int = 0
-    shared_mem_remaps: int = 0
     #: Mid-stream recompilations triggered by an observed write rate
     #: crossing an exchange break-even (write-aware exchange costing).
     write_replans: int = 0
@@ -150,34 +148,7 @@ class EngineStats:
     plans: dict[str, str] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "full_runs": self.full_runs,
-            "incremental_runs": self.incremental_runs,
-            "rounds": self.rounds,
-            "rules_fired": self.rules_fired,
-            "tuples_derived": self.tuples_derived,
-            "tuples_joined": self.tuples_joined,
-            "index_hits": self.index_hits,
-            "full_scans": self.full_scans,
-            "retractions": self.retractions,
-            "tuples_retracted": self.tuples_retracted,
-            "tuples_rederived": self.tuples_rederived,
-            "overdeletions": self.overdeletions,
-            "supports_recorded": self.supports_recorded,
-            "supports_evicted": self.supports_evicted,
-            "stratum_recomputes": self.stratum_recomputes,
-            "agg_recomputes": self.agg_recomputes,
-            "shard_tasks": self.shard_tasks,
-            "exchange_hits": self.exchange_hits,
-            "chained_lookups": self.chained_lookups,
-            "sync_rows": self.sync_rows,
-            "sync_bytes": self.sync_bytes,
-            "replica_backfills": self.replica_backfills,
-            "shared_mem_remaps": self.shared_mem_remaps,
-            "write_replans": self.write_replans,
-            "interval_scans": self.interval_scans,
-            "interval_renumbers": self.interval_renumbers,
-        }
+        return dict(zip(_COUNTER_NAMES, _counter_values(self)))
 
     def derivation_counters(self) -> dict[str, int]:
         """The counters that must be identical across every shard count,
@@ -209,7 +180,7 @@ class EngineStats:
         scratch records serially in submission order, so the cumulative
         counters are identical at any worker count.
         """
-        for name, value in other.as_dict().items():
+        for name, value in zip(_COUNTER_NAMES, _counter_values(other)):
             if value:
                 setattr(self, name, getattr(self, name) + value)
 
@@ -217,6 +188,12 @@ class EngineStats:
         """Add every counter to a :class:`repro.metrics.Collector`."""
         for name, value in self.as_dict().items():
             collector.count(f"{prefix}.{name}", value)
+
+
+#: Every :class:`EngineStats` counter, in declaration order (``plans`` is
+#: the pretty-printed plan record, not a counter).
+_COUNTER_NAMES = tuple(f.name for f in fields(EngineStats) if f.name != "plans")
+_counter_values = operator.attrgetter(*_COUNTER_NAMES)
 
 
 class Relation:
@@ -432,16 +409,15 @@ def solutions(
     plan: JoinPlan | Sequence,
     store: RelationStore,
     initial: Bindings | None = None,
-    delta_position: int | None = None,
     delta_relation: Relation | None = None,
     stats: EngineStats | None = None,
 ) -> Iterator[Bindings]:
     """Yield every binding satisfying ``plan``.
 
     ``plan`` is a compiled :class:`JoinPlan` (or a plain ordered literal
-    sequence, wrapped on the fly).  ``delta_position``/``delta_relation``
-    implement the semi-naive rewrite: the positive atom at that plan
-    position reads from the delta relation instead of the full store.
+    sequence, wrapped on the fly).  ``delta_relation`` implements the
+    delta-first semi-naive rewrite: the plan's leading atom reads from the
+    delta relation instead of the full store.
     """
     if not isinstance(plan, JoinPlan):
         plan = JoinPlan.from_ordered(plan)
@@ -454,7 +430,7 @@ def solutions(
         step = steps[position]
         literal = step.literal
         if isinstance(literal, Atom):
-            if position == delta_position and delta_relation is not None:
+            if position == 0 and delta_relation is not None:
                 relation: Relation | None = delta_relation
             else:
                 relation = store.maybe(literal.predicate)
@@ -767,11 +743,10 @@ class SemiNaiveEngine:
     through trigger plans and recompute-and-diff — so ``revoke``-style
     updates no longer force a full recomputation.  ``run(full=True)`` is
     the from-scratch escape hatch (it also re-plans joins against the live
-    base-fact cardinalities when ``planner="cost"``).
+    base-fact cardinalities).
 
-    With a :class:`~repro.cylog.sharding.ShardConfig` (or the ``shards`` /
-    ``executor`` / ``max_workers`` shorthand) the store is hash-sharded by
-    key prefix and evaluation fans out to the configured executor:
+    With a :class:`~repro.cylog.sharding.ShardConfig` the store is
+    hash-sharded by key prefix and evaluation fans out to the configured executor:
     independent strata inside a topological batch run as one task each,
     and inside a stratum each (rule, delta shard) partition is one task.
     Tasks only *read* shared state and count work in scratch
@@ -783,25 +758,13 @@ class SemiNaiveEngine:
     def __init__(
         self,
         program: Program | CompiledProgram,
-        planner: str | None = None,
         shard_config: "ShardConfig | None" = None,
-        shards: int | None = None,
-        executor: str | None = None,
-        max_workers: int | None = None,
         support_budget: int | None = None,
     ) -> None:
         from repro.cylog.sharding import ShardConfig
 
         if shard_config is None:
-            shard_config = ShardConfig(
-                shards=shards or 1,
-                executor=executor or "serial",
-                max_workers=max_workers,
-            )
-        elif shards is not None or executor is not None or max_workers is not None:
-            raise ValueError(
-                "pass either shard_config or shards/executor/max_workers, not both"
-            )
+            shard_config = ShardConfig()
         self.shard_config = shard_config
         self._executor = shard_config.build_executor()
         self._parallel = self._executor.name != "serial"
@@ -812,29 +775,20 @@ class SemiNaiveEngine:
         self._plan_shards = shard_config.plan_shards
         self._interval_enabled = shard_config.interval
         if isinstance(program, CompiledProgram):
-            self.planner = planner or program.planner
-            if self.planner not in PLANNERS:
-                raise ValueError(
-                    f"unknown planner {self.planner!r}; expected one of {PLANNERS}"
-                )
             if (
-                self.planner == program.planner
-                and program.shards == self._plan_shards
+                program.shards == self._plan_shards
                 and program.interval == self._interval_enabled
             ):
                 self.compiled = program
-            else:  # recompile so planner / shard layout actually take effect
+            else:  # recompile so the shard layout actually takes effect
                 self.compiled = compile_program(
                     program.program,
-                    planner=self.planner,
                     shards=self._plan_shards,
                     interval=self._interval_enabled,
                 )
         else:
-            self.planner = planner or "cost"
             self.compiled = compile_program(
                 program,
-                planner=self.planner,
                 shards=self._plan_shards,
                 interval=self._interval_enabled,
             )
@@ -964,14 +918,14 @@ class SemiNaiveEngine:
         """Install a fresh baseline in the process workers (full run)."""
         if self._unsynced is None:
             return
-        base = {
-            predicate: tuple(rows)
+        arities = {
+            predicate: self._base_arity[predicate]
             for predicate, rows in self._base_facts.items()
             if rows
         }
         self._executor.reset(  # type: ignore[attr-defined]
             self._active,
-            base,
+            arities,
             n_shards=self.shard_config.shards,
             partition_provider=self._partition_provider(store),
         )
@@ -982,9 +936,8 @@ class SemiNaiveEngine:
 
         ``sync_rows`` counts the net rows flushed and ``sync_bytes`` the
         canonical payload size the executor reports — both are functions
-        of the mutation stream alone, identical at any worker count and
-        in any replica mode (what each *worker* actually receives is the
-        executor's per-mode telemetry).
+        of the mutation stream alone, identical at any worker count (what
+        each *worker* actually receives is the executor's telemetry).
         """
         if self._unsynced:
             added, removed = self._unsynced.as_partition_mappings()
@@ -1095,9 +1048,7 @@ class SemiNaiveEngine:
         self.stats.supports_evicted = self._evicted_base + self._supports.evicted
         telemetry = getattr(self._executor, "telemetry", None)
         if telemetry is not None:
-            counters = telemetry()
-            self.stats.replica_backfills = counters["replica_backfills"]
-            self.stats.shared_mem_remaps = counters["shared_mem_remaps"]
+            self.stats.replica_backfills = telemetry()["replica_backfills"]
         return result
 
     def facts(self, predicate: str) -> frozenset:
@@ -1120,10 +1071,6 @@ class SemiNaiveEngine:
         Skipped when the cardinalities are unchanged since the last full
         run (recompilation and plan pretty-printing are then pure waste).
         """
-        if self.planner != "cost":
-            if not self.stats.plans:
-                self._record_plans()
-            return
         cardinalities = {
             predicate: float(len(rows))
             for predicate, rows in self._base_facts.items()
@@ -1143,7 +1090,6 @@ class SemiNaiveEngine:
         self._active = compile_program(
             self.compiled.program,
             cardinalities=cardinalities,
-            planner=self.planner,
             shards=self._plan_shards,
             write_rates=self._write_rates or None,
             interval=self._interval_enabled,
@@ -1164,8 +1110,6 @@ class SemiNaiveEngine:
     ) -> None:
         """Fold one incremental run's net deltas into the per-predicate
         write-rate EWMA (see ``WRITE_RATE_ALPHA``)."""
-        if self.planner != "cost":
-            return
         samples: dict[str, float] = {}
         for mapping in (added, removed):
             for predicate, rows in mapping.items():
@@ -1190,7 +1134,7 @@ class SemiNaiveEngine:
         """True when an observed write rate crossed the break-even of an
         exchange/chained decision in the active plans, i.e. recompiling
         with the rates would flip at least one access path."""
-        if self.planner != "cost" or not self.shard_config.exchange:
+        if not self.shard_config.exchange:
             return False
         if not self._write_rates and not self._planned_write_rates:
             return False
@@ -1598,8 +1542,7 @@ class SemiNaiveEngine:
         removed row) and additions through the rule's delta-first plans
         (every solution a new row participates in names its group).  A
         changed *negated* input stays a full recompute — provenance only
-        covers positive rows — as do a degraded synthetic support index
-        and the ``legacy`` planner (it compiles no delta-first rewrites).
+        covers positive rows — as does a degraded synthetic support index.
         """
         body = rule.rule.body
         atoms = [literal for literal in body if isinstance(literal, Atom)]
@@ -1641,14 +1584,10 @@ class SemiNaiveEngine:
                 literal = step.literal
                 if not isinstance(literal, Atom) or literal.predicate != atom_pred:
                     continue
-                plan = rule.delta_plans.get(position)
-                if plan is None:
-                    return None  # legacy planner: no delta-first rewrites
                 localized = True
                 for bindings in solutions(
-                    plan,
+                    rule.delta_plans[position],
                     store,
-                    delta_position=0,
                     delta_relation=delta_rel,
                     stats=stats,
                 ):
@@ -1781,8 +1720,7 @@ class SemiNaiveEngine:
         self,
         rule_index: int,
         rule: CompiledRule,
-        position: int,
-        delta_plan: JoinPlan | None,
+        delta_plan: JoinPlan,
         delta_rel: Relation,
         store: RelationStore,
     ) -> Callable[[], tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
@@ -1796,23 +1734,13 @@ class SemiNaiveEngine:
         def task() -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
             scratch = EngineStats()
             scratch.shard_tasks = 1
-            if delta_plan is not None:
-                # Delta-first rewrite: the delta atom leads the join.
-                bindings_iter = solutions(
-                    delta_plan,
-                    store,
-                    delta_position=0,
-                    delta_relation=delta_rel,
-                    stats=scratch,
-                )
-            else:
-                bindings_iter = solutions(
-                    rule.join_plan,
-                    store,
-                    delta_position=position,
-                    delta_relation=delta_rel,
-                    stats=scratch,
-                )
+            # Delta-first rewrite: the delta atom leads the join.
+            bindings_iter = solutions(
+                delta_plan,
+                store,
+                delta_relation=delta_rel,
+                stats=scratch,
+            )
             derived = [
                 (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
                 for b in bindings_iter
@@ -1866,7 +1794,7 @@ class SemiNaiveEngine:
             #: shard id the partition's aligned probes land on, ``None``
             #: when unsplit — and the delta partition itself).
             jobs: list[
-                tuple[CompiledRule, int, int, JoinPlan | None, int | None, Relation]
+                tuple[CompiledRule, int, int, JoinPlan, int | None, Relation]
             ] = []
             for rule_index, rule in plain_rules:
                 for position, step in enumerate(rule.join_plan.steps):
@@ -1876,13 +1804,11 @@ class SemiNaiveEngine:
                     if literal.predicate not in delta_relations:
                         continue
                     delta_rel = delta_relations[literal.predicate]
-                    delta_plan = rule.delta_plans.get(position)
+                    delta_plan = rule.delta_plans[position]
                     stats.rules_fired += 1
                     parts: list[tuple[int | None, Relation]] = [(None, delta_rel)]
                     if fan_out and n_shards > 1 and len(delta_rel) > 1:
-                        route = 0
-                        if delta_plan is not None and delta_plan.route_position:
-                            route = delta_plan.route_position
+                        route = delta_plan.route_position or 0
                         parts = [
                             (shard_id, _relation_from(rows, delta_rel))
                             for shard_id, rows in split_rows_by_shard(
@@ -1912,25 +1838,25 @@ class SemiNaiveEngine:
                     self._demote_to_serial()
                     results = [
                         self._rule_delta_task(
-                            rule_index, rule, position, delta_plan, part, store
+                            rule_index, rule, delta_plan, part, store
                         )()
-                        for rule, rule_index, position, delta_plan, _, part in jobs
+                        for rule, rule_index, _, delta_plan, _, part in jobs
                     ]
             elif fan_out and len(jobs) > 1:
                 results = self._executor.map(
                     [
                         self._rule_delta_task(
-                            rule_index, rule, position, delta_plan, part, store
+                            rule_index, rule, delta_plan, part, store
                         )
-                        for rule, rule_index, position, delta_plan, _, part in jobs
+                        for rule, rule_index, _, delta_plan, _, part in jobs
                     ]
                 )
             else:
                 results = [
                     self._rule_delta_task(
-                        rule_index, rule, position, delta_plan, part, store
+                        rule_index, rule, delta_plan, part, store
                     )()
-                    for rule, rule_index, position, delta_plan, _, part in jobs
+                    for rule, rule_index, _, delta_plan, _, part in jobs
                 ]
             next_delta: dict[str, set[Tuple_]] = {}
             for (rule, *_), (derived, scratch) in zip(jobs, results):
@@ -2321,7 +2247,6 @@ class SemiNaiveEngine:
                 solutions(
                     plan,
                     store,
-                    delta_position=0,
                     delta_relation=delta_rel,
                     stats=stats,
                 )
@@ -2421,7 +2346,6 @@ class SemiNaiveEngine:
                 for b in solutions(
                     plan,
                     store,
-                    delta_position=0,
                     delta_relation=delta_rel,
                     stats=stats,
                 )

@@ -7,8 +7,9 @@ threads serialise on the GIL and multi-worker speedups stall.  The
 
 * Each worker holds a **replica** of the engine's relation store (a plain
   :class:`~repro.cylog.engine.RelationStore` — lookups over the same
-  facts return the same row sets as any sharded layout) plus the compiled
-  join plans, installed once per full run by a ``reset`` message.
+  facts return the same row sets as any sharded layout), pruned to the
+  partitions its tasks probe, plus the compiled join plans, installed
+  once per full run by a ``reset`` message.
 * Between dispatches the engine streams its own mutation ledger — the
   same net deltas it already tracks for incremental evaluation, now
   partitioned by (relation, primary shard) at mutation time
@@ -27,31 +28,17 @@ threads serialise on the GIL and multi-worker speedups stall.  The
   derivation counters at any worker count — the same determinism
   contract the thread pool honours.
 
-Replica layout is shaped by ``replica_mode``:
-
-* ``"full"`` — every worker holds the complete replica and every sync is
-  broadcast verbatim (one pickled payload, written to each pipe).
-* ``"pruned"`` — each worker *subscribes* to exactly the (relation,
-  primary shard) partitions its assigned task classes can probe
-  (:func:`~repro.cylog.sharding.probe_partitions`).  Tasks are routed by
-  a content hash of their (rule, position, delta shard) class so the
-  same class keeps landing on the same worker, sync messages are sliced
-  to each worker's subscriptions, and when the planner routes a new
-  shape to a worker the missing partitions are *backfilled* lazily from
-  the engine's authoritative store.
-* ``"shared"`` — pruned subscriptions, plus the baseline base-fact
-  partitions are published once per full run as sealed row blocks
-  (:func:`~repro.cylog.sharding.seal_rows` — marshal, not pickle) in
-  ``multiprocessing.shared_memory`` segments.  A backfill of a partition
-  that nothing has mutated since the baseline maps the segment instead
-  of copying rows through the pipe; mutated partitions (version bumped
-  by a sync) fall back to pipe backfill, and segments are rebuilt on the
-  next reset.
-
-All three modes are bit-identical — pruning is computed from the same
-compiled plans the tasks execute, so every probe a task performs sees
-exactly the rows the engine's own store would serve.  The shard-diff CI
-oracle runs the full matrix.
+Each worker *subscribes* to exactly the (relation, primary shard)
+partitions its assigned task classes can probe
+(:func:`~repro.cylog.sharding.probe_partitions`).  Tasks are routed by a
+content hash of their (rule, position, delta shard) class so the same
+class keeps landing on the same worker, sync messages are sliced to each
+worker's subscriptions, and when the planner routes a new shape to a
+worker the missing partitions are *backfilled* lazily from the engine's
+authoritative store.  Pruning is computed from the same compiled plans
+the tasks execute, so every probe a task performs sees exactly the rows
+the engine's own store would serve; the shard-diff CI oracle gates the
+process engine against the single store.
 
 Every connection is a FIFO pipe, so a ``sync`` sent before a ``tasks``
 message is always applied first; no acknowledgement round-trips are
@@ -68,30 +55,19 @@ import multiprocessing
 import pickle
 import threading
 import traceback
-from multiprocessing import shared_memory
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.cylog.indexes import stable_hash
-from repro.cylog.sharding import (
-    REPLICA_MODES,
-    ExecutorPolicy,
-    probe_partitions,
-    seal_rows,
-    unseal_rows,
-)
+from repro.cylog.sharding import ExecutorPolicy, probe_partitions
 
 Tuple_ = tuple[Any, ...]
 #: One shipped task: (rule index, join-plan position of the delta atom —
 #: ``None`` for a full round-0 evaluation — the delta shard the partition
 #: was split on (``None`` when unsplit), and the delta partition rows).
-#: The legacy 3-tuple without the delta shard is still accepted.
 TaskDescriptor = tuple[int, "int | None", "int | None", "tuple[Tuple_, ...] | None"]
-#: (predicate, primary shard) — the unit of subscription, sync slicing,
-#: backfill and shared-memory publication.
+#: (predicate, primary shard) — the unit of subscription, sync slicing
+#: and backfill.
 PartitionKey = tuple[str, int]
-#: Published shared-memory baseline partition: (segment, sealed-blob
-#: length in bytes, relation arity).
-SegmentRecord = tuple[shared_memory.SharedMemory, int, int]
 
 
 class ProcessPoolBrokenError(RuntimeError):
@@ -112,57 +88,21 @@ def _mp_context():
         return multiprocessing.get_context("spawn")
 
 
-def _attach_shm(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without adopting cleanup duty.
-
-    The parent created the segment and unlinks it; a worker only maps
-    it.  Python < 3.13 has no ``track`` parameter and registers every
-    attach with the resource tracker.  Under the fork context all
-    processes talk to ONE tracker, whose cache is a name *set* — so
-    undoing the registration afterwards would erase the parent's own
-    entry (noisy KeyErrors at unlink time).  Instead the registration is
-    suppressed for the duration of the attach; workers are
-    single-threaded, so nothing else registers concurrently.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)  # type: ignore[call-arg]
-    except TypeError:  # pragma: no cover - Python < 3.13
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
-
 class _WorkerState:
     """Everything one worker process knows: plans + replica store."""
 
     __slots__ = ("compiled", "store")
 
-    def __init__(
-        self,
-        compiled,
-        base_facts: dict,
-        base_arities: Mapping[str, int] | None = None,
-    ) -> None:
+    def __init__(self, compiled, base_arities: Mapping[str, int]) -> None:
         from repro.cylog.engine import RelationStore
 
         self.compiled = compiled
         self.store = RelationStore(compiled.index_specs())
-        for predicate, rows in base_facts.items():
-            if not rows:
-                continue
-            relation = self.store.get(predicate, len(next(iter(rows))))
-            for row in rows:
-                relation.add(row)
-        # Pruned/shared baselines ship arities instead of rows: the
-        # relations exist (empty) from the start and partitions arrive by
-        # backfill, so relation *existence* — which probe bookkeeping can
-        # observe — matches the engine store exactly.
-        for predicate, arity in (base_arities or {}).items():
+        # The baseline ships arities instead of rows: the relations exist
+        # (empty) from the start and partitions arrive by backfill, so
+        # relation *existence* — which probe bookkeeping can observe —
+        # matches the engine store exactly.
+        for predicate, arity in base_arities.items():
             self.store.get(predicate, arity)
         # Mirror the engine's full run: head relations exist (empty) from
         # the start, so a probe against a not-yet-derived head counts an
@@ -173,20 +113,17 @@ class _WorkerState:
 
 
 def _apply_sync(state: _WorkerState, adds: dict, removes: dict) -> None:
-    """Apply one net change set to the replica (removals first — a net
-    ledger never holds the same row on both sides).  Keys may be plain
-    predicate names (full-mode broadcast, legacy callers) or (predicate,
-    shard) partition keys (sliced pruned/shared syncs)."""
-    for key, rows in removes.items():
-        predicate = key if isinstance(key, str) else key[0]
+    """Apply one net change set, keyed by (predicate, shard) partition, to
+    the replica (removals first — a net ledger never holds the same row on
+    both sides)."""
+    for (predicate, _), rows in removes.items():
         relation = state.store.maybe(predicate)
         if relation is not None:
             for row in rows:
                 relation.discard(row)
-    for key, rows in adds.items():
+    for (predicate, _), rows in adds.items():
         if not rows:
             continue
-        predicate = key if isinstance(key, str) else key[0]
         relation = state.store.get(predicate, len(next(iter(rows))))
         for row in rows:
             relation.add(row)
@@ -204,6 +141,7 @@ def _run_task(
     state: _WorkerState,
     rule_index: int,
     position: int | None,
+    _delta_shard: int | None,
     rows: tuple[Tuple_, ...] | None,
 ):
     """Evaluate one task descriptor — the process twin of the engine's
@@ -224,23 +162,12 @@ def _run_task(
         scratch.shard_tasks = 1
         literal = rule.join_plan.steps[position].literal
         delta_rel = _relation_from(set(rows), state.store.maybe(literal.predicate))
-        delta_plan = rule.delta_plans.get(position)
-        if delta_plan is not None:
-            bindings_iter = solutions(
-                delta_plan,
-                state.store,
-                delta_position=0,
-                delta_relation=delta_rel,
-                stats=scratch,
-            )
-        else:
-            bindings_iter = solutions(
-                rule.join_plan,
-                state.store,
-                delta_position=position,
-                delta_relation=delta_rel,
-                stats=scratch,
-            )
+        bindings_iter = solutions(
+            rule.delta_plans[position],
+            state.store,
+            delta_relation=delta_rel,
+            stats=scratch,
+        )
     derived = [
         (_head_tuple(rule, b), support_key_for(rule_index, rule, b))
         for b in bindings_iter
@@ -248,23 +175,13 @@ def _run_task(
     return derived, scratch
 
 
-def _normalize_descriptor(descriptor) -> tuple[int, "int | None", Any]:
-    """(rule_index, position, rows) out of a 4-tuple (with delta shard)
-    or legacy 3-tuple descriptor."""
-    if len(descriptor) == 4:
-        rule_index, position, _, rows = descriptor
-    else:
-        rule_index, position, rows = descriptor
-    return rule_index, position, rows
-
-
 def _worker_main(conn) -> None:
     """Worker loop: apply resets/syncs/backfills in arrival order,
     evaluate tasks.
 
     Messages travel as raw pickled bytes (``send_bytes``/``recv_bytes``):
-    the parent serialises each broadcast payload *once* and writes the
-    same bytes to every worker pipe, instead of re-pickling per worker.
+    the parent serialises the baseline and plan swaps *once* and writes
+    the same bytes to every worker pipe, instead of re-pickling per worker.
     """
     state: _WorkerState | None = None
     while True:
@@ -277,8 +194,7 @@ def _worker_main(conn) -> None:
             if kind == "stop":
                 return
             if kind == "reset":
-                base_arities = message[3] if len(message) > 3 else None
-                state = _WorkerState(message[1], message[2], base_arities)
+                state = _WorkerState(message[1], message[2])
             elif kind == "sync":
                 if state is not None:
                     _apply_sync(state, message[1], message[2])
@@ -291,23 +207,11 @@ def _worker_main(conn) -> None:
                         "process worker received backfill before reset"
                     )
                 _apply_backfill(state, message[1], message[2], message[3])
-            elif kind == "load_shm":
-                if state is None:
-                    raise RuntimeError(
-                        "process worker received load_shm before reset"
-                    )
-                _, predicate, arity, name, size = message
-                segment = _attach_shm(name)
-                try:
-                    rows = unseal_rows(segment.buf[:size])
-                finally:
-                    segment.close()
-                _apply_backfill(state, predicate, arity, rows)
             elif kind == "tasks":
                 if state is None:
                     raise RuntimeError("process worker received tasks before reset")
                 results = [
-                    (index, *_run_task(state, *_normalize_descriptor(descriptor)))
+                    (index, *_run_task(state, *descriptor))
                     for index, descriptor in message[1]
                 ]
                 conn.send_bytes(pickle.dumps(("results", results), -1))
@@ -326,66 +230,49 @@ class ProcessExecutor(ExecutorPolicy):
     """Fan evaluation tasks out to worker processes with replica stores.
 
     The engine talks to it through four calls: :meth:`reset` installs a
-    new baseline (compiled program, base facts, shard layout and the
-    authoritative partition provider), :meth:`sync` queues the engine's
-    net store changes since the last dispatch (returning the canonical
-    payload size for telemetry), :meth:`replan` queues a mid-stream plan
-    swap, and :meth:`run_rule_tasks` ships task descriptors and returns
-    their results in submission order.  Workers are spawned on the first
-    dispatch; pending baseline, syncs and replans are replayed to them
-    through the FIFO pipe before any task, so a replica is always current
-    when it evaluates.  ``replica_mode`` selects full, pruned or
-    shared-memory replicas (module docstring); every mode is
-    bit-identical.
+    new baseline (compiled program, base-fact arities, shard layout and
+    the authoritative partition provider), :meth:`sync` queues the
+    engine's net store changes since the last dispatch (returning the
+    canonical payload size for telemetry), :meth:`replan` queues a
+    mid-stream plan swap, and :meth:`run_rule_tasks` ships task
+    descriptors and returns their results in submission order.  Workers
+    are spawned on the first dispatch; pending syncs and replans are
+    replayed to them through the FIFO pipe before any task, so a replica
+    is always current when it evaluates.
     """
 
     name = "process"
     distributed = True
 
-    def __init__(self, max_workers: int = 4, replica_mode: str = "full") -> None:
+    def __init__(self, max_workers: int = 4) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if replica_mode not in REPLICA_MODES:
-            raise ValueError(
-                f"unknown replica_mode {replica_mode!r}; expected one of "
-                f"{REPLICA_MODES}"
-            )
         self.workers = max_workers
-        self.replica_mode = replica_mode
         self._ctx = _mp_context()
         self._procs: list = []
         self._conns: list = []
         self._baseline: bytes | None = None
         #: Messages queued since the last dispatch, in order: ("sync",
-        #: adds, removes, broadcast_blob) and ("replan", blob).  Order
-        #: matters — a replan between two syncs must reach workers
-        #: between them.
+        #: adds, removes) and ("replan", blob).  Order matters — a replan
+        #: between two syncs must reach workers between them.
         self._pending: list[tuple] = []
         self._compiled = None
         self._n_shards = 1
         self._partition_provider: Callable[[str, int], Any] | None = None
-        #: Per-worker subscription sets (pruned/shared modes).  Invariant:
-        #: a subscribed partition is fully current on that worker — every
-        #: sync is sliced against the subscriptions and shipped at every
-        #: dispatch, and a partition is only added after an authoritative
-        #: backfill in the same pipe batch.
+        #: Per-worker subscription sets.  Invariant: a subscribed partition
+        #: is fully current on that worker — every sync is sliced against
+        #: the subscriptions and shipped at every dispatch, and a partition
+        #: is only added after an authoritative backfill in the same pipe
+        #: batch.
         self._subscribed: list[set[PartitionKey]] = []
         #: Rows currently resident in each worker's replica (exact: the
         #: ledger only ships truly-new adds and truly-present removes).
         self._replica_rows: list[int] = []
-        #: Shared-memory segments of baseline partitions, and per-partition
-        #: mutation versions (0 = untouched since baseline, so the segment
-        #: is still authoritative).
-        self._segments: dict[PartitionKey, SegmentRecord] = {}
-        self._segment_rows: dict[PartitionKey, int] = {}
-        self._versions: dict[PartitionKey, int] = {}
-        self._baseline_rows = 0
         self._telemetry = {
             "sync_bytes_shipped": 0,
             "sync_rows_shipped": 0,
             "replica_backfills": 0,
             "backfill_rows": 0,
-            "shared_mem_remaps": 0,
             "bytes_to_workers": 0,
         }
         #: Set by close() (and by a mid-dispatch worker death).  A closed
@@ -396,52 +283,33 @@ class ProcessExecutor(ExecutorPolicy):
         self._closed = False
         self._lock = threading.Lock()
 
-    @property
-    def _pruned(self) -> bool:
-        return self.replica_mode != "full"
-
     # -- engine-facing protocol -------------------------------------------
     def reset(
         self,
         compiled,
-        base_facts: dict,
+        base_arities: Mapping[str, int],
+        *,
+        partition_provider: Callable[[str, int], Any],
         n_shards: int = 1,
-        partition_provider: "Callable[[str, int], Any] | None" = None,
     ) -> None:
-        """Install a new baseline (full run): plans + live base facts.
+        """Install a new baseline (full run): plans + base-fact arities.
 
-        In pruned/shared modes the baseline ships only the base-fact
-        *arities* — rows reach each worker later, as subscriptions demand
-        them (pipe backfill, or a shared-memory map of the sealed
-        baseline partition in ``shared`` mode).
+        Rows reach each worker later, as its subscriptions demand them:
+        ``partition_provider(predicate, shard)`` returns the authoritative
+        ``(arity, rows)`` of one partition (``None`` when the relation does
+        not exist) at dispatch time.
         """
         self._compiled = compiled
         self._n_shards = n_shards
         self._partition_provider = partition_provider
-        self._drop_segments()
-        self._versions = {}
-        baseline_rows = 0
-        if self._pruned:
-            arities = {
-                predicate: len(next(iter(rows)))
-                for predicate, rows in base_facts.items()
-                if rows
-            }
-            payload = ("reset", compiled, {}, arities)
-            if self.replica_mode == "shared":
-                self._publish_segments(base_facts)
-        else:
-            payload = ("reset", compiled, base_facts, None)
-            baseline_rows = sum(len(rows) for rows in base_facts.values())
         # Serialised once; the same bytes go to every (current and future)
         # worker pipe.
-        self._baseline = pickle.dumps(payload, -1)
-        self._baseline_rows = baseline_rows
+        self._baseline = pickle.dumps(("reset", compiled, dict(base_arities)), -1)
         self._pending.clear()
         self._subscribed = [set() for _ in range(self.workers)]
         self._replica_rows = [0] * self.workers
         self._closed = False
-        for worker_id, conn in enumerate(self._conns):
+        for conn in self._conns:
             try:
                 conn.send_bytes(self._baseline)
             except (BrokenPipeError, OSError):
@@ -451,27 +319,19 @@ class ProcessExecutor(ExecutorPolicy):
                 self._discard_pool()
                 break
             self._telemetry["bytes_to_workers"] += len(self._baseline)
-            self._replica_rows[worker_id] = baseline_rows
 
     def sync(self, adds: dict, removes: dict) -> int:
-        """Queue one net change set; shipped at the next dispatch.
-
-        Keys may be (predicate, shard) partition keys (what the engine's
-        :class:`~repro.cylog.sharding.PartitionedLedger` produces) or
-        plain predicate names (legacy callers — never pruned, every
-        worker receives them).  Returns the canonical payload size in
-        bytes — a pure function of the change set, independent of worker
-        count and replica mode (per-worker shipping is telemetry).
+        """Queue one net change set, keyed by (predicate, shard) partition
+        (what the engine's :class:`~repro.cylog.sharding.PartitionedLedger`
+        produces); shipped at the next dispatch, sliced to each worker's
+        subscriptions.  Returns the canonical payload size in bytes — a
+        pure function of the change set, independent of worker count
+        (per-worker shipping is telemetry).
         """
         if not adds and not removes:
             return 0
-        blob = pickle.dumps(("sync", adds, removes), -1)
-        for mapping in (adds, removes):
-            for key in mapping:
-                if isinstance(key, tuple):
-                    self._versions[key] = self._versions.get(key, 0) + 1
-        self._pending.append(("sync", adds, removes, blob))
-        return len(blob)
+        self._pending.append(("sync", adds, removes))
+        return len(pickle.dumps(("sync", adds, removes), -1))
 
     def replan(self, compiled) -> None:
         """Queue a mid-stream plan swap (write-aware exchange costing):
@@ -494,13 +354,13 @@ class ProcessExecutor(ExecutorPolicy):
             [] for _ in self._conns
         ]
         for index, descriptor in enumerate(descriptors):
-            per_worker[self._assign(index, descriptor)].append((index, descriptor))
+            per_worker[self._assign(descriptor)].append((index, descriptor))
         # Every worker first drains the queued syncs/replans (sliced to
-        # its subscriptions when pruned) so replicas advance in lockstep,
-        # then receives backfills for newly needed partitions, then its
-        # tasks — one FIFO pipe, no acknowledgement round-trips.  A send
-        # to a dead worker breaks the pipe; replica state streamed to the
-        # old pool is unrecoverable, so the pool closes.
+        # its subscriptions) so replicas advance in lockstep, then
+        # receives backfills for newly needed partitions, then its tasks —
+        # one FIFO pipe, no acknowledgement round-trips.  A send to a dead
+        # worker breaks the pipe; replica state streamed to the old pool
+        # is unrecoverable, so the pool closes.
         busy = []
         try:
             for worker_id, conn in enumerate(self._conns):
@@ -509,8 +369,7 @@ class ProcessExecutor(ExecutorPolicy):
             for worker_id, (conn, batch) in enumerate(zip(self._conns, per_worker)):
                 if not batch:
                     continue
-                if self._pruned:
-                    self._ship_backfills(worker_id, conn, (d for _, d in batch))
+                self._ship_backfills(worker_id, conn, (d for _, d in batch))
                 payload = pickle.dumps(("tasks", batch), -1)
                 conn.send_bytes(payload)
                 self._telemetry["bytes_to_workers"] += len(payload)
@@ -544,46 +403,28 @@ class ProcessExecutor(ExecutorPolicy):
             raise RuntimeError("process worker failed:\n" + "\n".join(errors))
         return results
 
-    # -- pruned/shared internals -------------------------------------------
-    def _assign(self, index: int, descriptor) -> int:
-        """Worker for one task.  Full mode stripes by submission index;
-        pruned/shared route by a stable content hash of the task *class*
-        (rule, position, delta shard), so a class keeps hitting the
-        worker already subscribed to its partitions."""
-        if not self._pruned:
-            return index % len(self._conns)
-        if len(descriptor) == 4:
-            rule_index, position, delta_shard, _ = descriptor
-        else:
-            rule_index, position, _ = descriptor
-            delta_shard = None
+    # -- subscriptions -----------------------------------------------------
+    def _assign(self, descriptor: TaskDescriptor) -> int:
+        """Worker for one task: a stable content hash of the task *class*
+        (rule, position, delta shard), so a class keeps hitting the worker
+        already subscribed to its partitions."""
+        rule_index, position, delta_shard, _ = descriptor
         return stable_hash((rule_index, position, delta_shard)) % len(self._conns)
-
-    def _slice(self, mapping: dict, subscribed: set[PartitionKey]) -> dict:
-        return {
-            key: rows
-            for key, rows in mapping.items()
-            if isinstance(key, str) or key in subscribed
-        }
 
     def _ship_pending(self, worker_id: int, conn) -> None:
         """Drain queued syncs/replans to one worker, in queue order."""
+        subscribed = self._subscribed[worker_id]
         for entry in self._pending:
             if entry[0] == "replan":
                 conn.send_bytes(entry[1])
                 self._telemetry["bytes_to_workers"] += len(entry[1])
                 continue
-            _, adds, removes, blob = entry
-            if self._pruned:
-                subscribed = self._subscribed[worker_id]
-                sliced_adds = self._slice(adds, subscribed)
-                sliced_removes = self._slice(removes, subscribed)
-                if not sliced_adds and not sliced_removes:
-                    continue
-                payload = pickle.dumps(("sync", sliced_adds, sliced_removes), -1)
-            else:
-                sliced_adds, sliced_removes = adds, removes
-                payload = blob
+            _, adds, removes = entry
+            sliced_adds = {k: v for k, v in adds.items() if k in subscribed}
+            sliced_removes = {k: v for k, v in removes.items() if k in subscribed}
+            if not sliced_adds and not sliced_removes:
+                continue
+            payload = pickle.dumps(("sync", sliced_adds, sliced_removes), -1)
             conn.send_bytes(payload)
             added = sum(len(rows) for rows in sliced_adds.values())
             removed = sum(len(rows) for rows in sliced_removes.values())
@@ -594,22 +435,12 @@ class ProcessExecutor(ExecutorPolicy):
 
     def _ship_backfills(self, worker_id: int, conn, descriptors) -> None:
         """Subscribe ``worker_id`` to every partition its new tasks can
-        probe, backfilling each missing one authoritatively — from the
-        baseline's shared-memory segment when it is still current, else
-        from the engine store through the pipe."""
+        probe, backfilling each missing one authoritatively from the
+        engine store through the pipe."""
         assert self._compiled is not None
         needed: set[PartitionKey] = set()
-        seen: set[tuple] = set()
-        for descriptor in descriptors:
-            if len(descriptor) == 4:
-                rule_index, position, delta_shard, _ = descriptor
-            else:
-                rule_index, position, _ = descriptor
-                delta_shard = None
-            task_class = (rule_index, position, delta_shard)
-            if task_class in seen:
-                continue
-            seen.add(task_class)
+        task_classes = {descriptor[:3] for descriptor in descriptors}
+        for rule_index, position, delta_shard in task_classes:
             needed |= probe_partitions(
                 self._compiled, self._n_shards, rule_index, position, delta_shard
             )
@@ -621,19 +452,7 @@ class ProcessExecutor(ExecutorPolicy):
 
     def _backfill(self, worker_id: int, conn, key: PartitionKey) -> None:
         predicate, shard = key
-        segment = self._segments.get(key)
-        if segment is not None and self._versions.get(key, 0) == 0:
-            shm, size, arity = segment
-            payload = pickle.dumps(("load_shm", predicate, arity, shm.name, size), -1)
-            conn.send_bytes(payload)
-            rows = self._segment_rows[key]
-            self._telemetry["replica_backfills"] += 1
-            self._telemetry["backfill_rows"] += rows
-            self._telemetry["bytes_to_workers"] += len(payload)
-            self._replica_rows[worker_id] += rows
-            return
-        provider = self._partition_provider
-        partition = provider(predicate, shard) if provider is not None else None
+        partition = self._partition_provider(predicate, shard)  # type: ignore[misc]
         if partition is None:
             return  # relation absent on the engine store too
         arity, rows = partition
@@ -643,39 +462,6 @@ class ProcessExecutor(ExecutorPolicy):
         self._telemetry["backfill_rows"] += len(rows)
         self._telemetry["bytes_to_workers"] += len(payload)
         self._replica_rows[worker_id] += len(rows)
-
-    # -- shared-memory segments --------------------------------------------
-    def _publish_segments(self, base_facts: dict) -> None:
-        """Seal every non-empty baseline base-fact partition into a
-        shared-memory segment (rebuilt each reset — a version bump)."""
-        from repro.cylog.sharding import shard_of
-
-        self._segment_rows: dict[PartitionKey, int] = {}
-        for predicate, rows in base_facts.items():
-            if not rows:
-                continue
-            arity = len(next(iter(rows)))
-            partitions: dict[int, list] = {}
-            for row in rows:
-                partitions.setdefault(shard_of(row, self._n_shards), []).append(row)
-            for shard, part_rows in partitions.items():
-                blob = seal_rows(part_rows)
-                shm = shared_memory.SharedMemory(create=True, size=max(len(blob), 1))
-                shm.buf[: len(blob)] = blob
-                key = (predicate, shard)
-                self._segments[key] = (shm, len(blob), arity)
-                self._segment_rows[key] = len(part_rows)
-                self._telemetry["shared_mem_remaps"] += 1
-
-    def _drop_segments(self) -> None:
-        for shm, _, _ in self._segments.values():
-            try:
-                shm.close()
-                shm.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
-        self._segments = {}
-        self._segment_rows = {}
 
     # -- ExecutorPolicy ----------------------------------------------------
     def map(self, tasks):
@@ -708,7 +494,7 @@ class ProcessExecutor(ExecutorPolicy):
                 self._procs.append(proc)
                 self._conns.append(parent_conn)
             self._subscribed = [set() for _ in range(self.workers)]
-            self._replica_rows = [self._baseline_rows] * self.workers
+            self._replica_rows = [0] * self.workers
 
     def _discard_pool(self) -> None:
         """Tear the worker processes down without closing the executor —
@@ -742,4 +528,3 @@ class ProcessExecutor(ExecutorPolicy):
                 proc.join(timeout=1)
         for conn in conns:
             conn.close()
-        self._drop_segments()

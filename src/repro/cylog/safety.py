@@ -47,12 +47,6 @@ DEFAULT_CARDINALITY = 1000.0
 #: Estimated fraction of a relation surviving one bound (equality) term.
 BOUND_SELECTIVITY = 0.1
 
-#: Planner modes: ``cost`` is the cardinality-aware planner with delta-first
-#: rewrites; ``legacy`` reproduces the original bound-count ordering with
-#: in-place delta substitution (kept as a benchmark baseline and as a second
-#: implementation for differential testing).
-PLANNERS = ("cost", "legacy")
-
 #: Exchange cost model (only consulted when compiling for a sharded store,
 #: ``shards > 1``).  A probe whose index key misses the shard key prefix
 #: must chain every shard's bucket — ``shards - 1`` extra bucket probes at
@@ -216,7 +210,7 @@ class CompiledProgram:
 
     ``shards`` records the shard count the plans were compiled for (1 for
     the single store); engines recompile when their configuration calls
-    for a different value, exactly as for a planner mismatch.  ``interval``
+    for a different value.  ``interval``
     records whether the interval access path was enabled at compile time;
     ``interval_specs`` maps each eligible transitive-closure head to its
     :class:`IntervalSpec` (empty when disabled or nothing qualifies).
@@ -227,7 +221,6 @@ class CompiledProgram:
     strata_count: int
     predicate_strata: dict[str, int] = field(compare=False)
     is_monotone: bool = True
-    planner: str = "cost"
     shards: int = 1
     interval: bool = True
     interval_specs: dict[str, IntervalSpec] = field(
@@ -325,21 +318,6 @@ def _bound_positions(atom: Atom, bound: set[str]) -> tuple[int, ...]:
         elif isinstance(term, Var) and not term.is_anonymous and term.name in bound:
             positions.append(index)
     return tuple(positions)
-
-
-def _atom_bound_score(atom: Atom, bound: set[str]) -> tuple[int, int]:
-    """Legacy order heuristic: prefer atoms with more bound terms (selective
-    joins) and fewer fresh variables; ignores relation cardinality."""
-    bound_terms = 0
-    fresh = 0
-    for term in atom.terms:
-        if isinstance(term, Const):
-            bound_terms += 1
-        elif isinstance(term, Var) and term.name in bound:
-            bound_terms += 1
-        else:
-            fresh += 1
-    return (-bound_terms, fresh)
 
 
 def _estimate_cost(
@@ -442,7 +420,6 @@ def build_join_plan(
     best_effort: bool = False,
     cardinalities: Mapping[str, float] | None = None,
     first: BodyLiteral | None = None,
-    cost_based: bool = True,
     initial_bound: Iterable[str] = (),
     shards: int = 1,
     write_rates: Mapping[str, float] | None = None,
@@ -450,9 +427,8 @@ def build_join_plan(
     """Greedily order ``literals`` so every literal is ready when reached.
 
     Returns ``(join_plan, bound_variables)``.  Atoms are chosen by estimated
-    selectivity (relation cardinality discounted per bound term) when
-    ``cost_based``, else by the legacy bound-count heuristic; filters run as
-    soon as their variables are bound.  ``first`` forces one literal to the
+    selectivity (relation cardinality discounted per bound term); filters
+    run as soon as their variables are bound.  ``first`` forces one literal to the
     front (the delta-first semi-naive rewrite).  ``initial_bound`` names
     variables the caller will supply at evaluation time (head variables in
     re-derivation checks, group keys in per-group aggregate maintenance),
@@ -499,23 +475,14 @@ def build_join_plan(
                     f"unsafe rule: variable(s) {stuck} are never bound by a "
                     "positive literal"
                 )
-            if cost_based:
-                chosen = min(
-                    atoms,
-                    key=lambda atom: (
-                        _estimate_cost(atom, bound, cardinalities),
-                        _fresh_var_count(atom, bound),
-                        remaining.index(atom),
-                    ),
-                )
-            else:
-                chosen = min(
-                    atoms,
-                    key=lambda atom: (
-                        _atom_bound_score(atom, bound),
-                        remaining.index(atom),
-                    ),
-                )
+            chosen = min(
+                atoms,
+                key=lambda atom: (
+                    _estimate_cost(atom, bound, cardinalities),
+                    _fresh_var_count(atom, bound),
+                    remaining.index(atom),
+                ),
+            )
         step = _make_step(chosen, bound, cardinalities, shards, inflow, write_rates)
         steps.append(step)
         if isinstance(chosen, Atom):
@@ -569,17 +536,6 @@ def delta_route_position(plan: JoinPlan) -> int | None:
                     return position
         return None  # constant key or a variable the delta does not bind
     return None
-
-
-def build_plan(
-    literals: Iterable[BodyLiteral],
-    exclude: BodyLiteral | None = None,
-    best_effort: bool = False,
-) -> tuple[tuple[BodyLiteral, ...], set[str]]:
-    """Compatibility wrapper around :func:`build_join_plan` returning the
-    ordered literals only."""
-    join_plan, bound = build_join_plan(literals, exclude, best_effort)
-    return join_plan.literals, bound
 
 
 def program_cardinalities(program: Program) -> dict[str, float]:
@@ -833,7 +789,6 @@ def _tarjan_sccs(
 def compile_program(
     program: Program,
     cardinalities: Mapping[str, float] | None = None,
-    planner: str = "cost",
     shards: int = 1,
     write_rates: Mapping[str, float] | None = None,
     interval: bool = True,
@@ -843,10 +798,8 @@ def compile_program(
     ``cardinalities`` (predicate -> estimated fact count) steers the
     cost-based join planner; it defaults to the fact counts in the program
     text.  Engines re-invoke compilation with live fact counts before a full
-    run, so plans track the actual data.  ``planner`` selects the ``cost``
-    planner (cardinality-ordered joins plus delta-first rewrites) or the
-    ``legacy`` bound-count ordering kept for benchmarking and differential
-    testing.  ``shards > 1`` compiles for a sharded store with the exchange
+    run, so plans track the actual data.  Every positive body atom gets a
+    delta-first rewrite (:attr:`CompiledRule.delta_plans`).  ``shards > 1`` compiles for a sharded store with the exchange
     operator enabled: non-prefix keyed probes are resolved into exchange or
     chained steps, delta-first plans get their shard-alignment route, and
     :meth:`CompiledProgram.repartition_specs` reports the repartitions the
@@ -855,15 +808,12 @@ def compile_program(
     are charged their observed maintenance instead of the static
     amortization, so a write-hot relation's repartition is demoted to
     chained probes when maintaining the copy costs more than it saves.
-    ``interval`` enables :func:`detect_interval_specs` (both planners):
+    ``interval`` enables :func:`detect_interval_specs`:
     eligible transitive-closure rules get every plan step annotated
     ``interval=True`` and the specs recorded on the compiled program, so
     the engine can answer those strata from an interval index when the
     edge relation is a forest at run time.
     """
-    if planner not in PLANNERS:
-        raise ValueError(f"unknown planner {planner!r}; expected one of {PLANNERS}")
-    cost_based = planner == "cost"
     stats = program_cardinalities(program)
     if cardinalities:
         stats.update(cardinalities)
@@ -877,28 +827,26 @@ def compile_program(
         join_plan, bound = build_join_plan(
             rule.body,
             cardinalities=stats,
-            cost_based=cost_based,
             shards=shards,
             write_rates=write_rates,
         )
         _check_head_bound(rule, bound)
         delta_plans: dict[int, JoinPlan] = {}
-        if cost_based:
-            for position, step in enumerate(join_plan.steps):
-                if not isinstance(step.literal, Atom):
-                    continue
-                delta_plan, _ = build_join_plan(
-                    rule.body,
-                    cardinalities=stats,
-                    first=step.literal,
-                    shards=shards,
-                    write_rates=write_rates,
+        for position, step in enumerate(join_plan.steps):
+            if not isinstance(step.literal, Atom):
+                continue
+            delta_plan, _ = build_join_plan(
+                rule.body,
+                cardinalities=stats,
+                first=step.literal,
+                shards=shards,
+                write_rates=write_rates,
+            )
+            if shards > 1:
+                delta_plan = replace(
+                    delta_plan, route_position=delta_route_position(delta_plan)
                 )
-                if shards > 1:
-                    delta_plan = replace(
-                        delta_plan, route_position=delta_route_position(delta_plan)
-                    )
-                delta_plans[position] = delta_plan
+            delta_plans[position] = delta_plan
         seed_plans: list[SeedPlan] = []
         for literal in rule.body:
             if isinstance(literal, Negation):
@@ -911,7 +859,6 @@ def compile_program(
                 exclude=literal,
                 best_effort=True,
                 cardinalities=stats,
-                cost_based=cost_based,
                 shards=shards,
                 write_rates=write_rates,
             )
@@ -959,7 +906,6 @@ def compile_program(
         strata_count=strata_count,
         predicate_strata=predicate_strata,
         is_monotone=monotone,
-        planner=planner,
         shards=shards,
         interval=interval,
         interval_specs=interval_specs,

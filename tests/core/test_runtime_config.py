@@ -144,6 +144,28 @@ class TestProcessorShim:
         processor.close()
 
 
+class TestRemovedArguments:
+    def test_duplicate_evaluation_knobs_removed(self):
+        """One replica layout, one planner, one shard-layout spelling and
+        one full-round escape hatch (``step(full=True)``): the duplicate
+        arguments are hard TypeErrors."""
+        from repro.cylog import SemiNaiveEngine, compile_program, parse_program
+
+        program = parse_program("p(1). q(X) :- p(X).")
+        for build in (
+            lambda: RuntimeConfig(replica_mode="pruned"),
+            lambda: ShardConfig(replica_mode="pruned"),
+            lambda: SemiNaiveEngine(program, planner="cost"),
+            lambda: SemiNaiveEngine(program, shards=2),
+            lambda: SemiNaiveEngine(program, executor="thread"),
+            lambda: SemiNaiveEngine(program, max_workers=2),
+            lambda: compile_program(program, planner="cost"),
+            lambda: Crowd4U(seed=1, incremental=False),
+        ):
+            with pytest.raises(TypeError):
+                build()
+
+
 class TestServingSlice:
     def test_default_serving_config(self):
         config = RuntimeConfig()

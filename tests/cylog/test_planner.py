@@ -6,10 +6,8 @@ from repro.cylog.pretty import explain_program, explain_rule
 from repro.cylog.safety import compile_program
 
 
-def _first_rule(source, cardinalities=None, planner="cost"):
-    compiled = compile_program(
-        parse_program(source), cardinalities=cardinalities, planner=planner
-    )
+def _first_rule(source, cardinalities=None):
+    compiled = compile_program(parse_program(source), cardinalities=cardinalities)
     return compiled.rules[0]
 
 
@@ -128,20 +126,6 @@ class TestDeltaPlans:
             if isinstance(step.literal, Atom)
         }
         assert set(rule.delta_plans) == atom_positions
-
-    def test_legacy_planner_emits_no_delta_plans(self):
-        rule = _first_rule(
-            "reach(S, Y) :- link(X, Y), reach(S, X).", planner="legacy"
-        )
-        assert rule.delta_plans == {}
-
-    def test_legacy_planner_keeps_bound_count_order(self):
-        rule = _first_rule(
-            "r(X, Y) :- big(X, Y), tiny(X, Y).",
-            cardinalities={"big": 10_000.0, "tiny": 3.0},
-            planner="legacy",
-        )
-        assert _predicates(rule.join_plan) == ["big", "tiny"]  # textual tie
 
 
 class TestExchangePlanning:

@@ -1,8 +1,8 @@
 """Process executor: replica sync protocol, lockstep equivalence, lifecycle.
 
 The shard-diff hypothesis oracle (test_sharding.py) covers randomized
-programs; these tests pin the deterministic corners — the reset/sync
-replica protocol across full and incremental runs, retraction cascades
+programs; these tests pin the deterministic corners — the reset/sync/
+backfill replica protocol across full and incremental runs, retraction cascades
 reaching the replicas, error propagation out of a worker, and executor
 lifecycle (lazy spawn, close, re-dispatch after close).
 """
@@ -19,6 +19,7 @@ from repro.cylog import (
     compile_program,
     parse_program,
 )
+from repro.cylog.indexes import stable_hash
 from repro.cylog.procpool import ProcessExecutor, ProcessPoolBrokenError
 
 SOURCE = """
@@ -147,12 +148,41 @@ class TestEngineLockstep:
             CyLogProcessor("p(1).", shard_config=_process_config())
 
 
+def _reset(executor: ProcessExecutor, compiled, facts: dict) -> None:
+    """Install a baseline whose partitions are served from ``facts``
+    (predicate -> row set), which stands in for the engine store.  One
+    shard, so every partition key is ``(predicate, 0)``."""
+
+    def provider(predicate: str, shard: int):
+        rows = facts.get(predicate)
+        if not rows:
+            return None
+        return len(next(iter(rows))), tuple(sorted(rows))
+
+    arities = {pred: len(next(iter(rows))) for pred, rows in facts.items() if rows}
+    executor.reset(compiled, arities, partition_provider=provider)
+
+
+def _sync(executor: ProcessExecutor, facts: dict, predicate: str, adds=(), removes=()):
+    """Mutate the stand-in store and stream the net change, keyed by
+    partition, exactly as the engine's ledger does."""
+    facts[predicate] = (facts.get(predicate, set()) | set(adds)) - set(removes)
+    executor.sync(
+        {(predicate, 0): frozenset(adds)} if adds else {},
+        {(predicate, 0): frozenset(removes)} if removes else {},
+    )
+
+
+def _rows(result) -> set:
+    return {row for row, _ in result[0]}
+
+
 class TestProtocol:
     def test_dispatch_before_reset_raises(self):
         executor = ProcessExecutor(max_workers=1)
         try:
             with pytest.raises(RuntimeError, match="before reset"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([(0, None, None, None)])
         finally:
             executor.close()
 
@@ -160,9 +190,9 @@ class TestProtocol:
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=1)
         try:
-            executor.reset(compiled, {"e": ((1,),)})
+            _reset(executor, compiled, {"e": {(1,)}})
             with pytest.raises(RuntimeError, match="process worker failed"):
-                executor.run_rule_tasks([(99, None, None)])  # no such rule
+                executor.run_rule_tasks([(0, 0, None, ([1],))])  # unhashable row
         finally:
             executor.close()
 
@@ -172,15 +202,17 @@ class TestProtocol:
         (not stale) results."""
         compiled = compile_program(parse_program("d(X) :- e(X).\nf(X) :- g(X)."))
         executor = ProcessExecutor(max_workers=2)
+        bad, good = (0, 0, 0, ([1],)), (1, None, None, None)
+        # The two task classes route to different workers.
+        assert stable_hash(bad[:3]) % 2 != stable_hash(good[:3]) % 2
         try:
-            executor.reset(compiled, {"e": ((1,),), "g": ((9,),)})
+            _reset(executor, compiled, {"e": {(1,)}, "g": {(9,)}})
             with pytest.raises(RuntimeError, match="process worker failed"):
-                executor.run_rule_tasks([(99, None, None), (1, None, None)])
+                executor.run_rule_tasks([bad, good])
             first, second = executor.run_rule_tasks(
-                [(0, None, None), (0, None, None)]
+                [(0, None, None, None), (0, None, None, None)]
             )
-            assert {row for row, _ in first[0]} == {(1,)}
-            assert {row for row, _ in second[0]} == {(1,)}
+            assert _rows(first) == _rows(second) == {(1,)}
         finally:
             executor.close()
 
@@ -188,29 +220,37 @@ class TestProtocol:
         compiled = compile_program(parse_program("d(X) :- e(X).\nf(X) :- g(X)."))
         executor = ProcessExecutor(max_workers=3)
         try:
-            executor.reset(compiled, {"e": ((1,), (2,)), "g": ((9,),)})
+            _reset(executor, compiled, {"e": {(1,), (2,)}, "g": {(9,)}})
+            # Task classes spread over two workers, interleaved.
             results = executor.run_rule_tasks(
-                [(0, None, None), (1, None, None), (0, None, None)]
+                [(0, None, 2, None), (1, None, None, None), (0, None, 3, None)]
             )
             assert len(results) == 3
             first, second, third = results
-            assert {row for row, _ in first[0]} == {(1,), (2,)}
-            assert {row for row, _ in second[0]} == {(9,)}
-            assert {row for row, _ in third[0]} == {(1,), (2,)}
+            assert _rows(first) == {(1,), (2,)}
+            assert _rows(second) == {(9,)}
+            assert _rows(third) == {(1,), (2,)}
         finally:
             executor.close()
 
     def test_sync_reaches_replicas_spawned_later(self):
-        """Syncs queued before the pool spawns are replayed on first
-        dispatch — the lazy-spawn path."""
+        """Syncs queued before the pool spawns are folded into the first
+        backfill (the lazy-spawn path); once a worker subscribes to a
+        partition, later syncs reach its replica through the pipe."""
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=2)
+        facts = {"e": {(1,)}}
         try:
-            executor.reset(compiled, {"e": ((1,),)})
-            executor.sync({"e": ((2,), (3,))}, {})
-            executor.sync({}, {"e": ((1,),)})
-            (result,) = executor.run_rule_tasks([(0, None, None)])
-            assert {row for row, _ in result[0]} == {(2,), (3,)}
+            _reset(executor, compiled, facts)
+            _sync(executor, facts, "e", adds={(2,), (3,)})
+            _sync(executor, facts, "e", removes={(1,)})
+            (result,) = executor.run_rule_tasks([(0, None, None, None)])
+            assert _rows(result) == {(2,), (3,)}
+            assert executor.telemetry()["sync_rows_shipped"] == 0
+            _sync(executor, facts, "e", adds={(4,)}, removes={(2,)})
+            (result,) = executor.run_rule_tasks([(0, None, None, None)])
+            assert _rows(result) == {(3,), (4,)}
+            assert executor.telemetry()["sync_rows_shipped"] == 2
         finally:
             executor.close()
 
@@ -220,15 +260,15 @@ class TestProtocol:
         compiled = compile_program(parse_program("d(X) :- e(X)."))
         executor = ProcessExecutor(max_workers=2)
         try:
-            executor.reset(compiled, {"e": ((1,),)})
-            executor.run_rule_tasks([(0, None, None)])  # spawn the pool
+            _reset(executor, compiled, {"e": {(1,)}})
+            executor.run_rule_tasks([(0, None, None, None)])  # spawn the pool
             for proc in executor._procs:
                 proc.terminate()
                 proc.join(timeout=5)
             with pytest.raises(ProcessPoolBrokenError, match="worker died"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([(0, None, None, None)])
             with pytest.raises(RuntimeError, match="closed"):
-                executor.run_rule_tasks([(0, None, None)])
+                executor.run_rule_tasks([(0, None, None, None)])
         finally:
             executor.close()
 
@@ -238,16 +278,17 @@ class TestProtocol:
         fresh reset() (what an engine full run issues) re-opens the pool."""
         executor = ProcessExecutor(max_workers=1)
         compiled = compile_program(parse_program("d(X) :- e(X)."))
-        executor.reset(compiled, {"e": ((1,),)})
-        executor.sync({"e": ((2,),)}, {})
-        executor.run_rule_tasks([(0, None, None)])
+        facts = {"e": {(1,)}}
+        _reset(executor, compiled, facts)
+        _sync(executor, facts, "e", adds={(2,)})
+        executor.run_rule_tasks([(0, None, None, None)])
         executor.close()
         executor.close()
         with pytest.raises(RuntimeError, match="closed"):
-            executor.run_rule_tasks([(0, None, None)])
+            executor.run_rule_tasks([(0, None, None, None)])
         try:
-            executor.reset(compiled, {"e": ((1,), (2,), (3,))})
-            (result,) = executor.run_rule_tasks([(0, None, None)])
-            assert {row for row, _ in result[0]} == {(1,), (2,), (3,)}
+            _reset(executor, compiled, {"e": {(1,), (2,), (3,)}})
+            (result,) = executor.run_rule_tasks([(0, None, None, None)])
+            assert _rows(result) == {(1,), (2,), (3,)}
         finally:
             executor.close()

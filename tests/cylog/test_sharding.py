@@ -53,46 +53,22 @@ THREAD_CONFIGS = (
     ShardConfig(shards=8, executor="thread", max_workers=4, min_parallel_rows=0),
 )
 
-#: Process-pool configurations: replica stores synced by the engine's
-#: mutation ledger, tasks shipped as picklable descriptors.
+#: Process-pool configurations: shard-pruned replica stores (each worker
+#: subscribes to the (relation, shard) partitions its task classes probe,
+#: backfilled lazily) synced by the engine's mutation ledger, tasks shipped
+#: as picklable descriptors.
 PROCESS_CONFIGS = (
     ShardConfig(shards=2, executor="process", max_workers=2, min_parallel_rows=0),
     ShardConfig(shards=8, executor="process", max_workers=2, min_parallel_rows=0),
 )
 
-#: Shard-pruned replica layouts: workers subscribe to the (relation,
-#: shard) partitions their task classes probe, backfilled lazily —
-#: ``shared`` additionally maps baseline partitions from shared memory.
-#: Must be bit-identical to every other configuration.
-PRUNED_CONFIGS = (
-    ShardConfig(
-        shards=8,
-        executor="process",
-        max_workers=2,
-        min_parallel_rows=0,
-        replica_mode="pruned",
-    ),
-)
-SHARED_CONFIGS = (
-    ShardConfig(
-        shards=8,
-        executor="process",
-        max_workers=2,
-        min_parallel_rows=0,
-        replica_mode="shared",
-    ),
-)
-
 #: The configurations the oracle compares against the single store.  The
-#: CI ``shard-diff`` job matrix runs the thread, process and replica-mode
-#: suites as separate entries (``SHARD_DIFF_SUITE``); everything runs by
-#: default.
+#: CI ``shard-diff`` job matrix runs the thread and process suites as
+#: separate entries (``SHARD_DIFF_SUITE``); everything runs by default.
 SHARD_CONFIGS = {
     "threads": THREAD_CONFIGS,
     "process": PROCESS_CONFIGS,
-    "pruned": PRUNED_CONFIGS,
-    "shared": SHARED_CONFIGS,
-    "all": THREAD_CONFIGS + PROCESS_CONFIGS + PRUNED_CONFIGS + SHARED_CONFIGS,
+    "all": THREAD_CONFIGS + PROCESS_CONFIGS,
 }[os.environ.get("SHARD_DIFF_SUITE", "all")]
 
 
@@ -634,16 +610,11 @@ def _determinism_program():
 
 #: Executor-transport telemetry: how rows *moved*, not what was derived.
 #: ``sync_rows``/``sync_bytes`` count the engine's canonical change sets
-#: (zero on non-distributed executors); ``replica_backfills`` /
-#: ``shared_mem_remaps`` count per-executor replica work and legitimately
-#: vary across executors, replica modes and worker counts.  Everything
-#: *outside* this set must be byte-identical everywhere.
-TRANSPORT_KEYS = (
-    "sync_rows",
-    "sync_bytes",
-    "replica_backfills",
-    "shared_mem_remaps",
-)
+#: (zero on non-distributed executors); ``replica_backfills`` counts
+#: per-executor replica work and legitimately varies across executors and
+#: worker counts.  Everything *outside* this set must be byte-identical
+#: everywhere.
+TRANSPORT_KEYS = ("sync_rows", "sync_bytes", "replica_backfills")
 
 
 def _derivation_only(stats: dict) -> dict:
@@ -656,11 +627,11 @@ def _derivation_only(stats: dict) -> dict:
 class TestExecutorDeterminism:
     """Satellite gate: fixed-seed runs at worker counts 1/2/8 produce
     identical results *and* identical derivation counters — on the thread
-    pool and on the process pool, in every replica mode."""
+    pool and on the process pool."""
 
     WORKER_COUNTS = (1, 2, 8)
 
-    def _run_all(self, executor: str = "thread", replica_mode: str = "full"):
+    def _run_all(self, executor: str = "thread"):
         program = _determinism_program()
         outcomes = []
         for workers in self.WORKER_COUNTS:
@@ -671,7 +642,6 @@ class TestExecutorDeterminism:
                     executor=executor,
                     max_workers=workers,
                     min_parallel_rows=0,
-                    replica_mode=replica_mode,
                 ),
             )
             try:
@@ -715,50 +685,36 @@ class TestExecutorDeterminism:
             p_stats = _derivation_only(p_stats)
             t_stats.pop("shard_tasks"), p_stats.pop("shard_tasks")
             assert p_stats == t_stats
-        baseline = process_outcomes[0][2]
-        for _, _, stats in process_outcomes[1:]:
-            # Full mode: even the transport counters are worker-count
-            # independent (sync volume is canonical; no backfills).
-            assert stats == baseline
 
     def test_replica_modes_bit_identical(self):
-        """Pruned and shared replicas produce the same results, deltas,
-        derivation counters *and canonical sync volume* as full replicas
-        at every worker count — pruning changes what each worker holds,
-        never what the engine derives or how much it mutated."""
-        by_mode = {
-            mode: self._run_all("process", replica_mode=mode)
-            for mode in ("full", "pruned", "shared")
-        }
-        for full, pruned, shared in zip(*by_mode.values()):
-            f_first, f_second, f_stats = full
-            for first, second, stats in (pruned, shared):
-                assert first.relations == f_first.relations
-                assert second.relations == f_second.relations
-                assert second.added_rows == f_second.added_rows
-                assert second.removed_rows == f_second.removed_rows
-                assert _derivation_only(stats) == _derivation_only(f_stats)
-                # Sync volume counts the engine's change sets, not the
-                # per-worker shipping — identical across replica modes.
-                assert stats["sync_rows"] == f_stats["sync_rows"]
-                assert stats["sync_bytes"] == f_stats["sync_bytes"]
-        for mode, outcomes in by_mode.items():
-            baseline = _derivation_only(outcomes[0][2])
-            for _, _, stats in outcomes[1:]:
-                assert _derivation_only(stats) == baseline, mode
+        """Shard-pruned replicas (the process pool's replica layout)
+        produce the same results, deltas, derivation counters *and
+        canonical sync volume* at every worker count — pruning changes
+        what each worker holds, never what the engine derives or how much
+        it mutated."""
+        outcomes = self._run_all("process")
+        b_first, b_second, baseline = outcomes[0]
+        for first, second, stats in outcomes[1:]:
+            assert first.relations == b_first.relations
+            assert second.relations == b_second.relations
+            assert second.added_rows == b_second.added_rows
+            assert second.removed_rows == b_second.removed_rows
+            assert _derivation_only(stats) == _derivation_only(baseline)
+            # Sync volume counts the engine's change sets, not the
+            # per-worker shipping — identical at any worker count.
+            assert stats["sync_rows"] == baseline["sync_rows"]
+            assert stats["sync_bytes"] == baseline["sync_bytes"]
 
     def test_replica_telemetry_deterministic(self):
-        """Pruned/shared transport telemetry is exercised (backfills
-        happen, shared memory maps happen) and a repeated identical run
-        reproduces every counter byte-for-byte — transport included."""
-        pruned_a = self._run_all("process", replica_mode="pruned")
-        pruned_b = self._run_all("process", replica_mode="pruned")
+        """Replica transport telemetry is exercised (syncs and backfills
+        happen) and a repeated identical run reproduces every counter
+        byte-for-byte — transport included."""
+        pruned_a = self._run_all("process")
+        pruned_b = self._run_all("process")
         for (_, _, stats_a), (_, _, stats_b) in zip(pruned_a, pruned_b):
             assert stats_a == stats_b
         assert all(stats["sync_rows"] > 0 for _, _, stats in pruned_a)
         assert all(stats["replica_backfills"] > 0 for _, _, stats in pruned_a)
-        shared = self._run_all("process", replica_mode="shared")
-        assert all(stats["shared_mem_remaps"] > 0 for _, _, stats in shared)
 
     def test_incremental_runs_stay_incremental(self):
         for _, second, stats in self._run_all():

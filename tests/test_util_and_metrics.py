@@ -127,7 +127,6 @@ class TestFormatTable:
             "sync_rows",
             "sync_bytes",
             "replica_backfills",
-            "shared_mem_remaps",
             "write_replans",
         ):
             assert counter in table, counter
