@@ -90,7 +90,7 @@ def _run_pruned() -> dict:
         churn_s = time.perf_counter() - start
 
         assert engine.runs == 1  # every churn round stayed incremental
-        telemetry = engine._executor.telemetry()
+        telemetry = engine._pool.telemetry()
         rounds = 2 * CHURN_ROUNDS
         return {
             "initial_run_ms": round(initial_s * 1000, 2),

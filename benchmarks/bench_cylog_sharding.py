@@ -1,20 +1,20 @@
-"""E10e — sharded relation store + parallel stratum evaluation (PR 4).
+"""E10e — sharded relation store, inline and on the process pool.
 
 Single-store vs hash-sharded engines on a 10k+ fact add/retract churn
 workload — the steady-state shape of a busy platform round.  The sharded
 configurations are run at worker counts 1 (serial executor), 2 and 8
-(thread pool); results must be byte-identical across every configuration
-(the shard-diff oracle gates this in CI, the bench re-checks it on the
-fingerprints).
+(process pool); results must be byte-identical across every
+configuration (the shard-diff oracle gates this in CI, the bench
+re-checks it on the fingerprints).
 
 Where the win comes from: the churn is retraction-heavy, and the single
 store's deletion cascade scans *every* anonymous-variable support pattern
 of a predicate per retracted row; the sharded support index partitions
 those patterns by key-prefix shard, so the scan touches ~1/N of them.
-Thread fan-out adds headroom on big rounds (the initial materialisation)
-and is kept off the tiny steady-state rounds by
-``ShardConfig.min_parallel_rows``; on a GIL build its benefit is bounded
-by the interpreter, which is exactly what the recorded trajectory shows.
+The process pool adds headroom on big rounds (the initial
+materialisation) and is kept off the tiny steady-state rounds by
+``ShardConfig.min_parallel_rows``, so its churn rounds run inline and
+pay only the replica-sync bookkeeping.
 """
 
 import time
@@ -43,12 +43,12 @@ CONFIGS = (
     (
         "sharded x8 / 2 workers",
         2,
-        ShardConfig(shards=8, executor="thread", max_workers=2),
+        ShardConfig(shards=8, executor="process", max_workers=2),
     ),
     (
         "sharded x8 / 8 workers",
         8,
-        ShardConfig(shards=8, executor="thread", max_workers=8),
+        ShardConfig(shards=8, executor="process", max_workers=8),
     ),
 )
 

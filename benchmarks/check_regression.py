@@ -22,7 +22,7 @@ Two kinds of committed reference exist, used for different things:
   unless ``--reset`` is also given).
 
 Gated metrics are an explicit catalog, not a wildcard: hardware-coupled
-ratios (``speedup_process_vs_thread`` needs multiple cores to mean
+ratios (``speedup_process_vs_serial`` needs multiple cores to mean
 anything) are reported for context but never gated.
 """
 
@@ -61,7 +61,7 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
 
 #: Reported next to the gated metrics but never gated (hardware-coupled).
 CONTEXT_METRICS: dict[str, tuple[str, ...]] = {
-    "E10f": ("speedup_process_vs_thread",),
+    "E10f": ("speedup_process_vs_serial",),
     "E11": ("mutation_ops_per_s", "listing_query_ops_per_s"),
     "E13": ("speedup_build_interval_vs_fixpoint",),
     "E14": ("p99_ms", "coalescing_x"),

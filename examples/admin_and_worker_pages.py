@@ -25,9 +25,7 @@ project = build_journalism_project(platform)
 driver = SimulationDriver(platform, answer_fn=journalism_answer_fn, seed=5)
 joint_task = None
 for _ in range(60):
-    platform.step()
-    driver._declare_interests()
-    driver._answer_membership_proposals()
+    driver.tick()
     joints = [
         t
         for t in platform.pool.all()
@@ -40,7 +38,6 @@ for _ in range(60):
             platform.contribute(joint_task.parent_task_id, member,
                                 f"draft paragraph from {member}")
         break
-    driver._perform_micro_tasks()
 
 admin_html = render_admin_page(platform, project.id)
 worker_html = render_worker_page(platform, platform.workers.ids()[0])

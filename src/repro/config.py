@@ -7,7 +7,7 @@ support-index memory budget and the serving front-end — into one
 validated value object:
 
 >>> from repro import Crowd4U, RuntimeConfig
->>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="thread"))
+>>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="process"))
 
 ``config=`` is the only spelling.  The serving slice nests as a
 frozen :class:`~repro.serving.config.ServingConfig`
@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
 _BACKENDS = ("memory", "wal", "sqlite")
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,10 @@ class RuntimeConfig:
 
     Evaluation: ``shards`` / ``executor`` / ``max_workers`` /
     ``exchange`` configure the CyLog engine exactly like
-    :class:`~repro.cylog.sharding.ShardConfig`.  With
-    ``executor="process"`` each worker holds a replica of only the
-    (relation, shard) partitions its tasks probe, backfilled lazily.
+    :class:`~repro.cylog.sharding.ShardConfig`.  ``executor`` is
+    ``"serial"`` (every task inline) or ``"process"``, where each worker
+    holds a replica of only the (relation, shard) partitions its tasks
+    probe, backfilled lazily.
 
     Memory: ``support_budget`` caps how many support entries the
     incremental engine's provenance index may hold; past the cap the

@@ -26,9 +26,9 @@ escape hatch, and ``step(cross_check=True)`` runs an engine-diff-style
 oracle that verifies the incrementally maintained ledger against a
 from-scratch recomputation.  Work counters live in :class:`PlatformStats`.
 
-Every project's CyLog engine can be hash-sharded and evaluated in
-parallel (``Crowd4U(config=RuntimeConfig(shards=8, executor="thread"))``
-or GIL-free with ``executor="process"`` — see
+Every project's CyLog engine can be hash-sharded
+(``Crowd4U(config=RuntimeConfig(shards=8))``) and evaluated inline or on
+a process pool (``executor="process"`` — see
 :class:`repro.cylog.ShardConfig`): the
 round's eligibility maintenance then consumes the engine's change sets
 *per shard* — the removed-row membership probe
@@ -91,6 +91,7 @@ from repro.core.teams import TeamRegistry, TeamStatus
 from repro.core.workers import Worker, WorkerManager
 from repro.cylog import CyLogProcessor, TaskRequest
 from repro.errors import CollaborationError, PlatformError
+from repro.metrics.counters import CounterRecord
 from repro.storage import Database, col
 from repro.util import IdFactory
 
@@ -100,7 +101,7 @@ _OPEN_STATUS_VALUES = tuple(status.value for status in OPEN_STATUSES)
 
 
 @dataclass
-class PlatformStats:
+class PlatformStats(CounterRecord):
     """Work counters for one :class:`Crowd4U` instance (cumulative).
 
     The eligibility counters measure how much of the naive
@@ -110,6 +111,8 @@ class PlatformStats:
     metrics collector with :meth:`to_collector` (once per collector — the
     values are cumulative), mirroring ``EngineStats``.
     """
+
+    collector_prefix = "platform"
 
     rounds: int = 0
     eligibility_tasks_full: int = 0
@@ -121,25 +124,6 @@ class PlatformStats:
     assignment_attempts: int = 0
     assignments_skipped: int = 0
     cross_checks: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "rounds": self.rounds,
-            "eligibility_tasks_full": self.eligibility_tasks_full,
-            "eligibility_tasks_partial": self.eligibility_tasks_partial,
-            "eligibility_tasks_skipped": self.eligibility_tasks_skipped,
-            "eligibility_pairs_checked": self.eligibility_pairs_checked,
-            "eligibility_pairs_skipped": self.eligibility_pairs_skipped,
-            "eligibility_revoked": self.eligibility_revoked,
-            "assignment_attempts": self.assignment_attempts,
-            "assignments_skipped": self.assignments_skipped,
-            "cross_checks": self.cross_checks,
-        }
-
-    def to_collector(self, collector, prefix: str = "platform") -> None:
-        """Add every counter to a :class:`repro.metrics.Collector`."""
-        for name, value in self.as_dict().items():
-            collector.count(f"{prefix}.{name}", value)
 
 
 @dataclass(frozen=True)
@@ -1034,7 +1018,7 @@ class Crowd4U:
             self.processor(root_task.project_id).run()
 
     def close(self) -> None:
-        """Release every project engine's executor threads and flush the
+        """Stop every project engine's worker processes and flush the
         storage backend (both no-ops in the default configuration)."""
         for processor in self._processors.values():
             processor.close()

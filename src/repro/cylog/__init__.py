@@ -85,11 +85,8 @@ from repro.cylog.processor import CyLogProcessor
 from repro.cylog.safety import IntervalSpec, JoinPlan, PlanStep, compile_program
 from repro.cylog.procpool import ProcessExecutor, ProcessPoolBrokenError
 from repro.cylog.sharding import (
-    ExecutorPolicy,
-    SerialExecutor,
     ShardConfig,
     ShardedRelationStore,
-    ThreadedExecutor,
     fingerprint_snapshot,
 )
 
@@ -104,7 +101,6 @@ __all__ = [
     "CyLogTypeError",
     "EngineStats",
     "EvaluationResult",
-    "ExecutorPolicy",
     "Fact",
     "IntervalHierarchyIndex",
     "IntervalSpec",
@@ -117,12 +113,10 @@ __all__ = [
     "Program",
     "Rule",
     "SemiNaiveEngine",
-    "SerialExecutor",
     "ShardConfig",
     "ShardedRelationStore",
     "StratificationError",
     "TaskRequest",
-    "ThreadedExecutor",
     "Var",
     "compile_program",
     "explain_program",

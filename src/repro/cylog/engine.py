@@ -24,13 +24,15 @@ first-class deltas.
 The engine is also *shardable* and *parallelisable* (see
 :mod:`repro.cylog.sharding`): with a :class:`ShardConfig` the relation
 store is hash-partitioned by key prefix, the support index shards its
-wildcard reverse index, and evaluation fans out — independent rules (and
-per-shard delta partitions) within a stratum, independent strata within a
-topological batch — to a pluggable executor.  Task results are merged
-serially in submission order, so fixpoints, reported deltas and the
-derivation counters are bit-identical at any worker count; the
-``shard-diff`` CI oracle enforces byte-identical snapshots against the
-single-store engine.
+wildcard reverse index, and each semi-naive round's (rule, delta
+partition) tasks run either inline or on a process pool
+(:mod:`repro.cylog.procpool`).  Both paths evaluate a task through the
+one runner, :func:`run_rule_task`, and results are merged serially in
+submission order, so fixpoints, reported deltas and the derivation
+counters are bit-identical at any worker count; the ``shard-diff`` CI
+oracle enforces byte-identical snapshots against the single-store
+engine.  Strata evaluate in index order, which stratification makes
+topological.
 
 :func:`naive_evaluate` exists as an oracle for differential testing and as
 the baseline for the E10 bench.  Both report work counters through
@@ -39,10 +41,7 @@ the baseline for the E10 bench.  Both report work counters through
 
 from __future__ import annotations
 
-import operator
-import threading
-from dataclasses import dataclass, field, fields
-from functools import partial
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.cylog.ast import (
@@ -75,6 +74,7 @@ from repro.cylog.safety import (
     build_join_plan,
     compile_program,
 )
+from repro.metrics.counters import CounterRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sharding imports us)
     from repro.cylog.sharding import ShardConfig
@@ -93,7 +93,7 @@ WRITE_RATE_FLOOR = 0.5
 
 
 @dataclass
-class EngineStats:
+class EngineStats(CounterRecord):
     """Work counters for one engine instance (or one naive evaluation).
 
     ``index_hits`` counts indexed lookups, ``full_scans`` unindexed relation
@@ -104,7 +104,12 @@ class EngineStats:
     counting + DRed deletion machinery and ``supports_recorded`` the
     provenance kept for it.  Feed the counters into a metrics collector with
     :meth:`to_collector` (once per collector — the values are cumulative).
+    Evaluation tasks count their work in scratch records, which the
+    engine absorbs serially in submission order, so the cumulative
+    counters are identical at any worker count.
     """
+
+    collector_prefix = "cylog_engine"
 
     full_runs: int = 0
     incremental_runs: int = 0
@@ -125,7 +130,7 @@ class EngineStats:
     shard_tasks: int = 0
     exchange_hits: int = 0
     chained_lookups: int = 0
-    #: Replica-sync telemetry (distributed executors only; zero elsewhere).
+    #: Replica-sync telemetry (process executor only; zero when serial).
     #: ``sync_rows`` / ``sync_bytes`` measure the engine-side mutation
     #: stream — net rows flushed to worker replicas and the canonical
     #: payload size — so they are identical at any worker count.
@@ -146,9 +151,6 @@ class EngineStats:
     interval_scans: int = 0
     interval_renumbers: int = 0
     plans: dict[str, str] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(_COUNTER_NAMES, _counter_values(self)))
 
     def derivation_counters(self) -> dict[str, int]:
         """The counters that must be identical across every shard count,
@@ -172,28 +174,6 @@ class EngineStats:
         )
         full = self.as_dict()
         return {key: full[key] for key in keys}
-
-    def absorb(self, other: "EngineStats") -> None:
-        """Fold a scratch stats record (one evaluation task) into this one.
-
-        Parallel tasks count their work locally and the engine absorbs the
-        scratch records serially in submission order, so the cumulative
-        counters are identical at any worker count.
-        """
-        for name, value in zip(_COUNTER_NAMES, _counter_values(other)):
-            if value:
-                setattr(self, name, getattr(self, name) + value)
-
-    def to_collector(self, collector, prefix: str = "cylog_engine") -> None:
-        """Add every counter to a :class:`repro.metrics.Collector`."""
-        for name, value in self.as_dict().items():
-            collector.count(f"{prefix}.{name}", value)
-
-
-#: Every :class:`EngineStats` counter, in declaration order (``plans`` is
-#: the pretty-printed plan record, not a counter).
-_COUNTER_NAMES = tuple(f.name for f in fields(EngineStats) if f.name != "plans")
-_counter_values = operator.attrgetter(*_COUNTER_NAMES)
 
 
 class Relation:
@@ -564,6 +544,50 @@ def support_key_for(
     return (rule_index, deps)
 
 
+#: One evaluation task: (rule index, join-plan position of the delta atom
+#: — ``None`` for a full round-0 evaluation — the delta shard the
+#: partition was split on — ``None`` when unsplit — and the delta
+#: partition itself).
+_Task = tuple[int, int | None, int | None, Relation | None]
+
+
+def run_rule_task(
+    compiled: CompiledProgram,
+    store: RelationStore,
+    rule_index: int,
+    position: int | None,
+    delta: Relation | None,
+) -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
+    """Fire one compiled rule against ``store``: the one task runner.
+
+    With a ``position`` the rule's delta-first rewrite for that body atom
+    is driven by the ``delta`` partition; ``position=None`` evaluates the
+    whole body (round 0 of a full run).  The runner only *reads* the store
+    and counts work into a scratch stats record; the caller merges the
+    derived ``(head row, support key)`` pairs and the counters serially
+    in submission order.  The engine calls it inline on its own store and
+    process workers call it on their replicas (:mod:`repro.cylog.procpool`),
+    so both paths do exactly the same work.
+    """
+    rule = compiled.rules[rule_index]
+    scratch = EngineStats()
+    if position is None:
+        bindings_iter = solutions(rule.join_plan, store, stats=scratch)
+    else:
+        scratch.shard_tasks = 1
+        bindings_iter = solutions(
+            rule.delta_plans[position],
+            store,
+            delta_relation=delta,
+            stats=scratch,
+        )
+    derived = [
+        (_head_tuple(rule, b), support_key_for(rule_index, rule, b))
+        for b in bindings_iter
+    ]
+    return derived, scratch
+
+
 _AGG_FUNCS = {
     "count": lambda values: len(values),
     "sum": lambda values: sum(values),
@@ -746,13 +770,14 @@ class SemiNaiveEngine:
     base-fact cardinalities).
 
     With a :class:`~repro.cylog.sharding.ShardConfig` the store is
-    hash-sharded by key prefix and evaluation fans out to the configured executor:
-    independent strata inside a topological batch run as one task each,
-    and inside a stratum each (rule, delta shard) partition is one task.
-    Tasks only *read* shared state and count work in scratch
-    ``EngineStats``; the engine merges derived tuples, supports and
-    counters serially in submission order, so results are bit-identical
-    at any worker count.  ``close()`` releases executor threads.
+    hash-sharded by key prefix, and with ``executor="process"`` each
+    round's (rule, delta shard) tasks ship to a
+    :class:`~repro.cylog.procpool.ProcessExecutor` once the round is big
+    enough (``min_parallel_rows``).  Tasks only *read* the store and count
+    work in scratch ``EngineStats``; the engine merges derived tuples,
+    supports and counters serially in submission order, so results are
+    bit-identical at any worker count.  ``close()`` stops the worker
+    processes.
     """
 
     def __init__(
@@ -766,12 +791,10 @@ class SemiNaiveEngine:
         if shard_config is None:
             shard_config = ShardConfig()
         self.shard_config = shard_config
-        self._executor = shard_config.build_executor()
-        self._parallel = self._executor.name != "serial"
-        #: Process-based executors cannot see the engine's store: tasks
-        #: ship as descriptors, stratum fan-out stays inline, and store
-        #: mutations are streamed to worker replicas via ``_unsynced``.
-        self._distributed = self._executor.distributed
+        #: The process pool (``None``: every task runs inline).  Workers
+        #: cannot see the engine's store: tasks ship as descriptors and
+        #: store mutations stream to worker replicas via ``_unsynced``.
+        self._pool = shard_config.build_pool()
         self._plan_shards = shard_config.plan_shards
         self._interval_enabled = shard_config.interval
         if isinstance(program, CompiledProgram):
@@ -794,7 +817,6 @@ class SemiNaiveEngine:
             )
         self._active = self.compiled
         self._strata = self._build_stratum_info()
-        self._batches = self._compute_batches()
         self._planned_cardinalities: dict[str, float] | None = None
         self._base_facts: dict[str, set[Tuple_]] = {}
         #: Arity each base predicate was first used with — retained even
@@ -825,9 +847,8 @@ class SemiNaiveEngine:
         self._extra_repartitions: dict[str, set[int]] = {}
         #: Net store mutations not yet streamed to process workers,
         #: partitioned by (predicate, primary shard) at mutation time so
-        #: flushes ship per-worker slices (``None`` unless the executor is
-        #: distributed).
-        self._unsynced = self._new_unsynced() if self._distributed else None
+        #: flushes ship per-worker slices (``None`` without a pool).
+        self._unsynced = self._new_unsynced() if self._pool is not None else None
         #: Observed write rates (EWMA of net delta rows per run, per
         #: predicate) feeding the write-aware exchange cost model, and the
         #: rates the active plans were compiled against.
@@ -844,9 +865,6 @@ class SemiNaiveEngine:
         self.runs = 0  # full evaluations performed (observability for benches)
 
     # -- sharding / executor plumbing --------------------------------------
-    def _new_lock(self) -> threading.Lock | None:
-        return threading.Lock() if self._parallel else None
-
     def _new_store(self):
         from repro.cylog.sharding import build_store
 
@@ -923,7 +941,7 @@ class SemiNaiveEngine:
             for predicate, rows in self._base_facts.items()
             if rows
         }
-        self._executor.reset(  # type: ignore[attr-defined]
+        self._pool.reset(  # type: ignore[union-attr]
             self._active,
             arities,
             n_shards=self.shard_config.shards,
@@ -935,14 +953,14 @@ class SemiNaiveEngine:
         """Stream accumulated mutations to worker replicas (pre-dispatch).
 
         ``sync_rows`` counts the net rows flushed and ``sync_bytes`` the
-        canonical payload size the executor reports — both are functions
+        canonical payload size the pool reports — both are functions
         of the mutation stream alone, identical at any worker count (what
         each *worker* actually receives is the executor's telemetry).
         """
         if self._unsynced:
             added, removed = self._unsynced.as_partition_mappings()
             self.stats.sync_rows += self._unsynced.row_count()
-            self.stats.sync_bytes += self._executor.sync(  # type: ignore[attr-defined]
+            self.stats.sync_bytes += self._pool.sync(  # type: ignore[union-attr]
                 added, removed
             )
             self._unsynced = self._new_unsynced()
@@ -950,11 +968,9 @@ class SemiNaiveEngine:
     def _new_supports(self) -> SupportIndex:
         if self.shard_config.sharded:
             return ShardedSupportIndex(
-                self.shard_config.shards,
-                lock=self._new_lock(),
-                budget=self._support_budget,
+                self.shard_config.shards, budget=self._support_budget
             )
-        return SupportIndex(lock=self._new_lock(), budget=self._support_budget)
+        return SupportIndex(budget=self._support_budget)
 
     def _demote_to_serial(self) -> None:
         """Permanently fall back to inline evaluation after the process
@@ -965,20 +981,17 @@ class SemiNaiveEngine:
         shipping tasks and syncs.  ``shard_config`` keeps describing the
         requested layout for observability.
         """
-        from repro.cylog.sharding import SerialExecutor
-
         try:
-            self._executor.close()
+            self._pool.close()  # type: ignore[union-attr]
         except Exception:
             pass  # the pool is already broken; closing is best-effort
-        self._executor = SerialExecutor()
-        self._parallel = False
-        self._distributed = False
+        self._pool = None
         self._unsynced = None
 
     def close(self) -> None:
-        """Release the executor's worker threads (no-op when serial)."""
-        self._executor.close()
+        """Stop the process pool's workers (no-op when serial)."""
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "SemiNaiveEngine":
         return self
@@ -1046,9 +1059,8 @@ class SemiNaiveEngine:
         else:
             result = self._incremental_run()
         self.stats.supports_evicted = self._evicted_base + self._supports.evicted
-        telemetry = getattr(self._executor, "telemetry", None)
-        if telemetry is not None:
-            self.stats.replica_backfills = telemetry()["replica_backfills"]
+        if self._pool is not None:
+            self.stats.replica_backfills = self._pool.telemetry()["replica_backfills"]
         return result
 
     def facts(self, predicate: str) -> frozenset:
@@ -1095,7 +1107,6 @@ class SemiNaiveEngine:
             interval=self._interval_enabled,
         )
         self._strata = self._build_stratum_info()
-        self._batches = self._compute_batches()
         self._gain_plans.clear()
         self._loss_plans.clear()
         self._rederive_plans.clear()
@@ -1184,8 +1195,8 @@ class SemiNaiveEngine:
                     self._store.ensure_repartition(  # type: ignore[union-attr]
                         predicate, position
                     )
-        if self._distributed:
-            self._executor.replan(self._active)  # type: ignore[attr-defined]
+        if self._pool is not None:
+            self._pool.replan(self._active)
 
     def _record_plans(self) -> None:
         self.stats.plans = {
@@ -1237,36 +1248,6 @@ class SemiNaiveEngine:
                 )
             )
         return tuple(infos)
-
-    def _compute_batches(self) -> tuple[tuple[int, ...], ...]:
-        """Topological batches of mutually independent strata.
-
-        Stratum ``t`` depends on stratum ``s`` when any predicate ``t``
-        reads (positively, under negation or inside an aggregate body) is
-        one of ``s``'s head predicates.  Strata on the same level of the
-        resulting DAG — independent SCC groups of the dependency graph —
-        can evaluate concurrently; batches are emitted in level order and
-        hold stratum indexes in ascending order, which fixes the merge
-        order for parallel execution.
-        """
-        inputs: list[set[str]] = []
-        for info in self._strata:
-            preds = set(info.referenced)
-            preds.update(neg.atom.predicate for _, _, neg in info.negations)
-            for agg_preds in info.agg_inputs.values():
-                preds.update(agg_preds)
-            inputs.append(preds)
-        levels: list[int] = []
-        for t in range(len(self._strata)):
-            level = 0
-            for s in range(t):
-                if inputs[t] & self._strata[s].heads:
-                    level = max(level, levels[s] + 1)
-            levels.append(level)
-        batches: dict[int, list[int]] = {}
-        for stratum, level in enumerate(levels):
-            batches.setdefault(level, []).append(stratum)
-        return tuple(tuple(batches[level]) for level in sorted(batches))
 
     def _negation_trigger_plan(
         self, rule_index: int, rule: CompiledRule, negation: Negation, gain: bool
@@ -1345,7 +1326,7 @@ class SemiNaiveEngine:
         edge rows actually form a forest is decided per run by the index
         monitor.  The indexes live engine-side and are maintained by the
         serial merge path only, so interval-answered heads never dispatch
-        work to the executor pool.
+        work to the process pool.
         """
         if not self._interval_enabled or not self._active.interval_specs:
             return ()
@@ -1407,7 +1388,6 @@ class SemiNaiveEngine:
         store: RelationStore,
         spec: IntervalSpec,
         changes: DeltaLedger,
-        sink: DeltaLedger,
         stats: EngineStats,
         removed_out: list[Tuple_],
         added_out: list[Tuple_],
@@ -1415,7 +1395,7 @@ class SemiNaiveEngine:
         """Advance one closure head through an incremental step.
 
         Returns True when the head is interval-owned and its exact deltas
-        were applied to the store and ``sink`` (and collected into
+        were applied to the store and ``changes`` (and collected into
         ``removed_out`` / ``added_out`` for the caller's cascade/seed
         wiring); False when the head stays on the fixpoint path; ``None``
         when an edge change broke the forest shape mid-step — the caller
@@ -1456,7 +1436,7 @@ class SemiNaiveEngine:
                 spec,
                 current - desired,
                 desired - current,
-                sink,
+                changes,
                 stats,
                 removed_out,
                 added_out,
@@ -1488,7 +1468,7 @@ class SemiNaiveEngine:
             spec,
             set(ledger.removed(spec.head)),
             set(ledger.added(spec.head)),
-            sink,
+            changes,
             stats,
             removed_out,
             added_out,
@@ -1700,11 +1680,6 @@ class SemiNaiveEngine:
         return rows
 
     # -- derivation recording ----------------------------------------------
-    def _support_key(
-        self, rule_index: int, rule: CompiledRule, bindings: Bindings
-    ) -> SupportKey:
-        return support_key_for(rule_index, rule, bindings)
-
     def _record(
         self,
         predicate: str,
@@ -1716,38 +1691,42 @@ class SemiNaiveEngine:
             (stats if stats is not None else self.stats).supports_recorded += 1
 
     # -- task fan-out ------------------------------------------------------
-    def _rule_delta_task(
-        self,
-        rule_index: int,
-        rule: CompiledRule,
-        delta_plan: JoinPlan,
-        delta_rel: Relation,
-        store: RelationStore,
-    ) -> Callable[[], tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
-        """One evaluation task: fire ``rule`` against one delta partition.
+    def _run_tasks(
+        self, store: RelationStore, jobs: Sequence[_Task], pooled: bool
+    ) -> list[tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
+        """Evaluate ``jobs`` through :func:`run_rule_task`, results in
+        submission order: on the process pool when ``pooled`` (and there
+        is more than one job to spread), inline against ``store``
+        otherwise.  Pool dispatch first streams the unsynced store
+        mutations to the worker replicas and ships each delta partition
+        as a row tuple."""
+        if pooled and len(jobs) > 1:
+            from repro.cylog.procpool import ProcessPoolBrokenError
 
-        The task only *reads* the store and counts work into a scratch
-        stats record; the caller merges derived tuples, supports and
-        counters serially, which keeps results executor-independent.
-        """
-
-        def task() -> tuple[list[tuple[Tuple_, SupportKey]], EngineStats]:
-            scratch = EngineStats()
-            scratch.shard_tasks = 1
-            # Delta-first rewrite: the delta atom leads the join.
-            bindings_iter = solutions(
-                delta_plan,
-                store,
-                delta_relation=delta_rel,
-                stats=scratch,
-            )
-            derived = [
-                (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
-                for b in bindings_iter
-            ]
-            return derived, scratch
-
-        return task
+            self._flush_sync()
+            try:
+                return self._pool.run_rule_tasks(  # type: ignore[union-attr]
+                    [
+                        (
+                            rule_index,
+                            position,
+                            shard_id,
+                            None if delta is None else tuple(delta),
+                        )
+                        for rule_index, position, shard_id, delta in jobs
+                    ]
+                )
+            except ProcessPoolBrokenError:
+                # A worker died mid-dispatch.  The replicas only ever
+                # mirrored the engine store, so the same tasks re-run
+                # inline against it are equivalent; this and every later
+                # round run inline.
+                self._demote_to_serial()
+        compiled = self._active
+        return [
+            run_rule_task(compiled, store, rule_index, position, delta)
+            for rule_index, position, _, delta in jobs
+        ]
 
     def _semi_naive_rounds(
         self,
@@ -1756,7 +1735,6 @@ class SemiNaiveEngine:
         delta: dict[str, set[Tuple_]],
         changes: DeltaLedger | None = None,
         stats: EngineStats | None = None,
-        parallel: bool = True,
     ) -> None:
         """Propagate ``delta`` to fixpoint, recording every derivation.
 
@@ -1764,21 +1742,19 @@ class SemiNaiveEngine:
         whose predicate has a delta; new head tuples feed the next round
         (and ``changes``, when the caller is tracking a run report).
 
-        Each round builds one task per (rule, delta atom) — split further
-        into per-shard delta partitions on a sharded engine, aligned on
-        the next probe's shard routing key when the delta plan has one
+        Each round builds one task per (rule, delta atom).  When the round
+        is big enough to pay for pool dispatch, a sharded engine splits
+        each task further into per-shard delta partitions, aligned on the
+        next probe's shard routing key when the delta plan has one
         (``JoinPlan.route_position``), so every task probes a single
-        target shard — evaluates them through the executor when the round
-        is big enough to pay for dispatch, and merges the derived tuples
-        serially in task order.  On a distributed executor the tasks ship
-        as picklable descriptors after the worker replicas are synced.
+        target shard.  Derived tuples merge serially in task order.
         """
         if stats is None:
             stats = self.stats
         n_shards = self.shard_config.shards
-        use_pool = parallel and self._parallel
         if n_shards > 1:
             from repro.cylog.sharding import split_rows_by_shard
+        rules = self._active.rules
         while delta:
             stats.rounds += 1
             delta_relations = {
@@ -1786,16 +1762,11 @@ class SemiNaiveEngine:
                 for predicate, rows in delta.items()
                 if rows
             }
-            fan_out = use_pool and (
+            pooled = self._pool is not None and (
                 sum(len(rows) for rows in delta.values())
                 >= self.shard_config.min_parallel_rows
             )
-            #: (rule, rule_index, position, delta_plan, delta shard — the
-            #: shard id the partition's aligned probes land on, ``None``
-            #: when unsplit — and the delta partition itself).
-            jobs: list[
-                tuple[CompiledRule, int, int, JoinPlan, int | None, Relation]
-            ] = []
+            jobs: list[_Task] = []
             for rule_index, rule in plain_rules:
                 for position, step in enumerate(rule.join_plan.steps):
                     literal = step.literal
@@ -1804,63 +1775,27 @@ class SemiNaiveEngine:
                     if literal.predicate not in delta_relations:
                         continue
                     delta_rel = delta_relations[literal.predicate]
-                    delta_plan = rule.delta_plans[position]
                     stats.rules_fired += 1
-                    parts: list[tuple[int | None, Relation]] = [(None, delta_rel)]
-                    if fan_out and n_shards > 1 and len(delta_rel) > 1:
-                        route = delta_plan.route_position or 0
-                        parts = [
-                            (shard_id, _relation_from(rows, delta_rel))
-                            for shard_id, rows in split_rows_by_shard(
-                                delta_rel, n_shards, route
+                    if pooled and n_shards > 1 and len(delta_rel) > 1:
+                        route = rule.delta_plans[position].route_position or 0
+                        for shard_id, rows in split_rows_by_shard(
+                            delta_rel, n_shards, route
+                        ):
+                            jobs.append(
+                                (
+                                    rule_index,
+                                    position,
+                                    shard_id,
+                                    _relation_from(rows, delta_rel),
+                                )
                             )
-                        ]
-                    for shard_id, part in parts:
-                        jobs.append(
-                            (rule, rule_index, position, delta_plan, shard_id, part)
-                        )
-            if fan_out and len(jobs) > 1 and self._distributed:
-                from repro.cylog.procpool import ProcessPoolBrokenError
-
-                self._flush_sync()
-                try:
-                    results = self._executor.run_rule_tasks(  # type: ignore[attr-defined]
-                        [
-                            (rule_index, position, shard_id, tuple(part))
-                            for _, rule_index, position, _, shard_id, part in jobs
-                        ]
-                    )
-                except ProcessPoolBrokenError:
-                    # A worker died mid-dispatch.  The replicas only ever
-                    # mirrored the engine store, so the same tasks re-run
-                    # inline against it are equivalent; finish this and
-                    # every later round serially.
-                    self._demote_to_serial()
-                    results = [
-                        self._rule_delta_task(
-                            rule_index, rule, delta_plan, part, store
-                        )()
-                        for rule, rule_index, _, delta_plan, _, part in jobs
-                    ]
-            elif fan_out and len(jobs) > 1:
-                results = self._executor.map(
-                    [
-                        self._rule_delta_task(
-                            rule_index, rule, delta_plan, part, store
-                        )
-                        for rule, rule_index, _, delta_plan, _, part in jobs
-                    ]
-                )
-            else:
-                results = [
-                    self._rule_delta_task(
-                        rule_index, rule, delta_plan, part, store
-                    )()
-                    for rule, rule_index, _, delta_plan, _, part in jobs
-                ]
+                    else:
+                        jobs.append((rule_index, position, None, delta_rel))
+            results = self._run_tasks(store, jobs, pooled)
             next_delta: dict[str, set[Tuple_]] = {}
-            for (rule, *_), (derived, scratch) in zip(jobs, results):
+            for (rule_index, *_), (derived, scratch) in zip(jobs, results):
                 stats.absorb(scratch)
+                rule = rules[rule_index]
                 head_pred = rule.rule.head.predicate
                 relation = store.get(head_pred, rule.rule.head.arity)
                 for row, support in derived:
@@ -1890,33 +1825,15 @@ class SemiNaiveEngine:
             relation = store.get(predicate, len(next(iter(rows))))
             for row in rows:
                 relation.add(row)
-        # Head relations are created up front so parallel stratum tasks
-        # never mutate the store's predicate map concurrently.
+        # Head relations exist (empty) from the start, exactly as on the
+        # process workers' replicas, so probe counters agree on both sides.
         for rule in self._active.rules:
             store.get(rule.rule.head.predicate, rule.rule.head.arity)
         # Worker replicas restart from exactly these base facts; everything
         # derived below streams to them through the unsynced ledger.
         self._reset_workers(store)
-        for batch in self._batches:
-            if len(batch) == 1 or not self._parallel or self._distributed:
-                for index in batch:
-                    self._eval_stratum_full(
-                        store, self._strata[index], self.stats, parallel=self._parallel
-                    )
-            else:
-                # Independent strata: one task each, scratch stats merged
-                # in stratum order.
-                def stratum_task(info: _StratumInfo) -> EngineStats:
-                    scratch = EngineStats()
-                    scratch.shard_tasks = 1
-                    self._eval_stratum_full(store, info, scratch, parallel=False)
-                    return scratch
-
-                tasks = [
-                    partial(stratum_task, self._strata[index]) for index in batch
-                ]
-                for scratch in self._executor.map(tasks):
-                    self.stats.absorb(scratch)
+        for info in self._strata:
+            self._eval_stratum_full(store, info, self.stats)
         self._store = store
         current = store.snapshot()
         changes = DeltaLedger()
@@ -1931,11 +1848,7 @@ class SemiNaiveEngine:
         return EvaluationResult(current, added, removed)
 
     def _eval_stratum_full(
-        self,
-        store: RelationStore,
-        info: _StratumInfo,
-        stats: EngineStats,
-        parallel: bool = True,
+        self, store: RelationStore, info: _StratumInfo, stats: EngineStats
     ) -> None:
         for rule_index, rule in info.aggregates:
             head_pred = rule.rule.head.predicate
@@ -1961,38 +1874,13 @@ class SemiNaiveEngine:
                 plain = tuple((i, r) for i, r in plain if i not in skip)
         # Round 0: full evaluation of each rule.  Solutions are materialised
         # before insertion because recursive rules scan the very relation
-        # they derive into; on a parallel engine independent rules evaluate
+        # they derive into; on a process pool the rules evaluate
         # concurrently and merge in rule order.
-        def round0_task(rule_index: int, rule: CompiledRule):
-            def task():
-                scratch = EngineStats()
-                derived = [
-                    (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
-                    for b in solutions(rule.join_plan, store, stats=scratch)
-                ]
-                return derived, scratch
-
-            return task
-
-        if parallel and self._parallel and len(plain) > 1 and self._distributed:
-            from repro.cylog.procpool import ProcessPoolBrokenError
-
-            self._flush_sync()
-            try:
-                results = self._executor.run_rule_tasks(  # type: ignore[attr-defined]
-                    [(rule_index, None, None, None) for rule_index, _ in plain]
-                )
-            except ProcessPoolBrokenError:
-                self._demote_to_serial()
-                results = [
-                    round0_task(rule_index, rule)() for rule_index, rule in plain
-                ]
-        elif parallel and self._parallel and len(plain) > 1:
-            results = self._executor.map(
-                [round0_task(rule_index, rule) for rule_index, rule in plain]
-            )
-        else:
-            results = [round0_task(rule_index, rule)() for rule_index, rule in plain]
+        results = self._run_tasks(
+            store,
+            [(rule_index, None, None, None) for rule_index, _ in plain],
+            self._pool is not None,
+        )
         delta: dict[str, set[Tuple_]] = {}
         for (rule_index, rule), (derived, scratch) in zip(plain, results):
             stats.absorb(scratch)
@@ -2005,7 +1893,7 @@ class SemiNaiveEngine:
                     stats.tuples_derived += 1
                     self._note_add(head_pred, row)
                     delta.setdefault(head_pred, set()).add(row)
-        self._semi_naive_rounds(store, plain, delta, stats=stats, parallel=parallel)
+        self._semi_naive_rounds(store, plain, delta, stats=stats)
 
     # -- incremental evaluation --------------------------------------------
     def _incremental_run(self) -> EvaluationResult:
@@ -2034,39 +1922,8 @@ class SemiNaiveEngine:
                     if relation.add(row):
                         changes.add(predicate, row)
                         self._note_add(predicate, row)
-        for batch in self._batches:
-            if len(batch) == 1 or not self._parallel or self._distributed:
-                for index in batch:
-                    self._step_stratum(
-                        store,
-                        self._strata[index],
-                        changes,
-                        self.stats,
-                        parallel=self._parallel,
-                    )
-            else:
-                # Independent strata: each task reads the pre-batch change
-                # ledger and writes into its own scratch ledger + stats;
-                # scratches merge in stratum order (their head predicates
-                # are disjoint, so the merge is order-insensitive anyway).
-                outs = [DeltaLedger() for _ in batch]
-                scratches = [EngineStats() for _ in batch]
-
-                def stratum_task(
-                    info: _StratumInfo, out: DeltaLedger, scratch: EngineStats
-                ) -> None:
-                    self._step_stratum(
-                        store, info, changes, scratch, out=out, parallel=False
-                    )
-
-                tasks = [
-                    partial(stratum_task, self._strata[index], out, scratch)
-                    for index, out, scratch in zip(batch, outs, scratches)
-                ]
-                self._executor.map(tasks)
-                for out, scratch in zip(outs, scratches):
-                    changes.merge(out)
-                    self.stats.absorb(scratch)
+        for info in self._strata:
+            self._step_stratum(store, info, changes, self.stats)
         added_map, removed_map = changes.as_mappings()
         self._observe_write_rates(added_map, removed_map)
         return EvaluationResult(store.snapshot(), added_map, removed_map)
@@ -2105,7 +1962,7 @@ class SemiNaiveEngine:
             if cached:
                 self._clear_agg_supports(rule_index, rule, cached)
         self._supports.clear_degraded(info.heads)
-        self._eval_stratum_full(store, info, stats, parallel=False)
+        self._eval_stratum_full(store, info, stats)
         for predicate, old_rows in before.items():
             relation = store.maybe(predicate)
             new_rows = relation.snapshot() if relation is not None else frozenset()
@@ -2120,19 +1977,13 @@ class SemiNaiveEngine:
         info: _StratumInfo,
         changes: DeltaLedger,
         stats: EngineStats,
-        out: DeltaLedger | None = None,
-        parallel: bool = True,
     ) -> None:
         """Propagate the accumulated ``changes`` through one stratum.
 
-        ``changes`` is read-only input (base-fact deltas plus everything
-        lower batches produced); this stratum's own additions/removals are
-        written to ``out`` when given (parallel batches: each stratum task
-        gets a scratch ledger merged afterwards) and to ``changes`` itself
-        otherwise — same-batch strata never read each other's heads, so
-        the two modes are equivalent.
+        ``changes`` holds the base-fact deltas plus everything lower
+        strata produced; this stratum's own additions and removals are
+        written back into it for the strata above.
         """
-        sink = out if out is not None else changes
         if not info.plain and not info.aggregates:
             return
         touched = set(changes.predicates())
@@ -2154,7 +2005,7 @@ class SemiNaiveEngine:
             or bool(agg_touched)
         )
         if removal_work and self._supports.degraded_any(info.heads):
-            self._recompute_stratum(store, info, sink, stats)
+            self._recompute_stratum(store, info, changes, stats)
             return
         # Interval-owned closure heads step first: the index turns the
         # edge deltas into the head's exact added/removed closure pairs
@@ -2171,10 +2022,10 @@ class SemiNaiveEngine:
             removed_rows: list[Tuple_] = []
             added_rows: list[Tuple_] = []
             owned = self._interval_step(
-                store, spec, changes, sink, stats, removed_rows, added_rows
+                store, spec, changes, stats, removed_rows, added_rows
             )
             if owned is None:
-                self._recompute_stratum(store, info, sink, stats)
+                self._recompute_stratum(store, info, changes, stats)
                 return
             if owned:
                 interval_heads.add(spec.head)
@@ -2220,9 +2071,8 @@ class SemiNaiveEngine:
                 agg_additions.append((rule, row, support))
         # Phase B: deletions.  Removed input tuples cascade through the
         # support index; negation-gain triggers drop the exact derivations
-        # the new tuples invalidate.  Interval-owned heads enqueue from
-        # their collected deltas — never from the shared ledger, which
-        # only sees them when this stratum writes ``changes`` directly.
+        # the new tuples invalidate.  Interval-owned heads enqueue once,
+        # from their collected deltas, not from the ledger.
         for predicate in changes.predicates():
             if predicate in interval_heads:
                 continue
@@ -2255,11 +2105,11 @@ class SemiNaiveEngine:
                 scheduler.drop_support(
                     head_pred,
                     _head_tuple(rule, b),
-                    self._support_key(rule_index, rule, b),
+                    support_key_for(rule_index, rule, b),
                 )
         scheduler.run()
         for predicate, row in scheduler.deleted:
-            sink.remove(predicate, row)
+            changes.remove(predicate, row)
             self._note_remove(predicate, row)
         # Phase B': re-derivation.  Over-deleted tuples of the recursive
         # component are restored when still derivable from what survived;
@@ -2282,7 +2132,7 @@ class SemiNaiveEngine:
                 plan = self._rederive_plan(rule_index, rule)
                 for b in solutions(plan, store, initial=initial, stats=stats):
                     if _head_tuple(rule, b) == row:
-                        supports.append(self._support_key(rule_index, rule, b))
+                        supports.append(support_key_for(rule_index, rule, b))
             for rule_index, rule in info.aggregates:
                 if rule.rule.head.predicate == predicate and row in self._agg_cache.get(
                     rule_index, ()
@@ -2293,7 +2143,7 @@ class SemiNaiveEngine:
                     self._record(predicate, row, support, stats)
                 store.get(predicate, len(row)).add(row)
                 stats.tuples_rederived += 1
-                sink.add(predicate, row)
+                changes.add(predicate, row)
                 self._note_add(predicate, row)
                 rederived.setdefault(predicate, set()).add(row)
         # Phase C: additions.  Seeds: net-added input tuples, aggregate
@@ -2307,9 +2157,8 @@ class SemiNaiveEngine:
                 delta[predicate] = set(rows)
         # Interval-owned additions only seed the delta when a surviving
         # plain rule actually consumes the head — downstream strata read
-        # them from the sink ledger regardless, and seeding an unconsumed
-        # head would skew the round counter between serial and parallel
-        # batch modes (only serial mode aliases ``sink`` and ``changes``).
+        # them from the ledger regardless, and seeding an unconsumed head
+        # would count an empty semi-naive round.
         if interval_added:
             consumed = {
                 atom.predicate
@@ -2328,7 +2177,7 @@ class SemiNaiveEngine:
             relation = store.get(head_pred, rule.rule.head.arity)
             if relation.add(row):
                 stats.tuples_derived += 1
-                sink.add(head_pred, row)
+                changes.add(head_pred, row)
                 self._note_add(head_pred, row)
                 if head_pred in info.referenced:
                     delta.setdefault(head_pred, set()).add(row)
@@ -2342,7 +2191,7 @@ class SemiNaiveEngine:
             delta_rel = _relation_from(set(lost), store.maybe(negation.atom.predicate))
             stats.rules_fired += 1
             derived = [
-                (_head_tuple(rule, b), self._support_key(rule_index, rule, b))
+                (_head_tuple(rule, b), support_key_for(rule_index, rule, b))
                 for b in solutions(
                     plan,
                     store,
@@ -2354,13 +2203,11 @@ class SemiNaiveEngine:
                 self._record(head_pred, row, support, stats)
                 if relation.add(row):
                     stats.tuples_derived += 1
-                    sink.add(head_pred, row)
+                    changes.add(head_pred, row)
                     self._note_add(head_pred, row)
                     if head_pred in info.referenced:
                         delta.setdefault(head_pred, set()).add(row)
-        self._semi_naive_rounds(
-            store, plain, delta, sink, stats=stats, parallel=parallel
-        )
+        self._semi_naive_rounds(store, plain, delta, changes, stats=stats)
 
 
 def _relation_from(rows: set[Tuple_], template: Relation | None) -> Relation:

@@ -26,22 +26,19 @@ changed:
   queued for the engine's re-derivation phase, which restores everything
   still derivable from the surviving facts.
 
-Sharding and parallelism (PR 4) extend the support machinery two ways:
-:class:`ShardedSupportIndex` partitions the wildcard reverse index by the
-dependency row's key-prefix shard, so a deletion cascade scans only the
-patterns that could possibly match the retracted row (1/N of them) instead
-of every anonymous-variable pattern of the predicate; and every index
-accepts an optional lock, so independent strata evaluated on worker
-threads can record derivations into the shared index safely
-(:meth:`SupportIndex.merge_from` is the scratch-index alternative for
-executors that cannot share memory).
+Sharding extends the support machinery: :class:`ShardedSupportIndex`
+partitions the wildcard reverse index by the dependency row's key-prefix
+shard, so a deletion cascade scans only the patterns that could possibly
+match the retracted row (1/N of them) instead of every anonymous-variable
+pattern of the predicate.  The index is only ever touched by the engine's
+serial merge — process workers return derivations, never record them —
+so it needs no locking.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from contextlib import nullcontext
-from typing import TYPE_CHECKING, Any, ContextManager, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.cylog.indexes import stable_hash
 
@@ -166,18 +163,13 @@ class SupportIndex:
     additions never need provenance and stay incremental.
     """
 
-    def __init__(
-        self, lock: ContextManager | None = None, budget: int | None = None
-    ) -> None:
+    def __init__(self, budget: int | None = None) -> None:
         #: (pred, row) -> its support keys.
         self._supports: dict[tuple[str, Tuple_], set[SupportKey]] = {}
         #: pred -> exact body row -> supports consuming it.
         self._exact: dict[str, dict[Tuple_, set[SupportRef]]] = {}
         #: pred -> wildcard pattern -> supports consuming a matching row.
         self._wild: dict[str, dict[Tuple_, set[SupportRef]]] = {}
-        #: Serialises mutation when strata record/drop supports from worker
-        #: threads; the serial engine passes nothing and pays nothing.
-        self._lock: ContextManager = lock if lock is not None else nullcontext()
         self.budget = budget
         self._size = 0
         #: Derivations refused because the index was at budget.
@@ -203,44 +195,26 @@ class SupportIndex:
         At budget the derivation is refused (and the head predicate marked
         degraded) instead of recorded.
         """
-        with self._lock:
-            entry = self._supports.setdefault((predicate, row), set())
-            if key in entry:
-                return False
-            if self.budget is not None and self._size >= self.budget:
-                if not entry:
-                    del self._supports[(predicate, row)]
-                self.evicted += 1
-                self._degraded.add(predicate)
-                return False
-            entry.add(key)
-            self._size += 1
-            ref: SupportRef = (predicate, row, key)
-            for dep_pred, dep_row in key[1]:
-                if _is_wild(dep_row):
-                    self._wild_add(dep_pred, dep_row, ref)
-                else:
-                    self._exact.setdefault(dep_pred, {}).setdefault(
-                        dep_row, set()
-                    ).add(ref)
-            return True
-
-    def merge_from(self, other: "SupportIndex") -> int:
-        """Fold every derivation recorded in ``other`` into this index.
-
-        Folding is a set union, so merge order cannot change the result;
-        returns how many supports were new.  The engine currently records
-        supports from worker tasks directly into one lock-guarded index —
-        this is the alternative strategy (scratch index per task, folded
-        at merge time) kept for executors that cannot share the index,
-        e.g. the process-based executors on the roadmap.
-        """
-        added = 0
-        for (predicate, row), keys in other._supports.items():
-            for key in keys:
-                if self.add(predicate, row, key):
-                    added += 1
-        return added
+        entry = self._supports.setdefault((predicate, row), set())
+        if key in entry:
+            return False
+        if self.budget is not None and self._size >= self.budget:
+            if not entry:
+                del self._supports[(predicate, row)]
+            self.evicted += 1
+            self._degraded.add(predicate)
+            return False
+        entry.add(key)
+        self._size += 1
+        ref: SupportRef = (predicate, row, key)
+        for dep_pred, dep_row in key[1]:
+            if _is_wild(dep_row):
+                self._wild_add(dep_pred, dep_row, ref)
+            else:
+                self._exact.setdefault(dep_pred, {}).setdefault(
+                    dep_row, set()
+                ).add(ref)
+        return True
 
     def count(self, predicate: str, row: Tuple_) -> int:
         return len(self._supports.get((predicate, row), ()))
@@ -250,17 +224,16 @@ class SupportIndex:
 
     def drop(self, predicate: str, row: Tuple_, key: SupportKey) -> int:
         """Remove one support if present; returns the remaining count."""
-        with self._lock:
-            entry = self._supports.get((predicate, row))
-            if entry is None or key not in entry:
-                return len(entry) if entry is not None else 0
-            entry.discard(key)
-            self._size -= 1
-            self._unregister((predicate, row, key))
-            if not entry:
-                del self._supports[(predicate, row)]
-                return 0
-            return len(entry)
+        entry = self._supports.get((predicate, row))
+        if entry is None or key not in entry:
+            return len(entry) if entry is not None else 0
+        entry.discard(key)
+        self._size -= 1
+        self._unregister((predicate, row, key))
+        if not entry:
+            del self._supports[(predicate, row)]
+            return 0
+        return len(entry)
 
     def discard_tuple(self, predicate: str, row: Tuple_) -> None:
         """The tuple left the store: forget every derivation *of* it.
@@ -268,13 +241,12 @@ class SupportIndex:
         Supports it participates in (as a body row of other derivations)
         are untouched — the deletion cascade drops those explicitly.
         """
-        with self._lock:
-            entry = self._supports.pop((predicate, row), None)
-            if not entry:
-                return
-            self._size -= len(entry)
-            for key in entry:
-                self._unregister((predicate, row, key))
+        entry = self._supports.pop((predicate, row), None)
+        if not entry:
+            return
+        self._size -= len(entry)
+        for key in entry:
+            self._unregister((predicate, row, key))
 
     def _unregister(self, ref: SupportRef) -> None:
         for dep_pred, dep_row in ref[2][1]:
@@ -332,16 +304,15 @@ class SupportIndex:
         ``pattern`` is ``None`` for exact dependencies and the wildcard
         pattern (with ``None`` holes) for anonymous-variable dependencies —
         the caller decides whether another row still satisfies it.  The
-        result is materialised under the lock, so the caller may mutate
-        the index while consuming it.
+        result is materialised, so the caller may mutate the index while
+        consuming it.
         """
-        with self._lock:
-            exact = self._exact.get(predicate)
-            out: list[tuple[SupportRef, Tuple_ | None]] = []
-            if exact is not None:
-                out.extend((ref, None) for ref in exact.get(row, ()))
-            out.extend(self._wild_matches(predicate, row))
-            return out
+        exact = self._exact.get(predicate)
+        out: list[tuple[SupportRef, Tuple_ | None]] = []
+        if exact is not None:
+            out.extend((ref, None) for ref in exact.get(row, ()))
+        out.extend(self._wild_matches(predicate, row))
+        return out
 
     def __len__(self) -> int:
         return sum(len(entry) for entry in self._supports.values())
@@ -357,17 +328,16 @@ class ShardedSupportIndex(SupportIndex):
     (first position), with patterns whose prefix is itself anonymous in a
     catch-all bucket: a retracted row can only match patterns in its own
     shard or the catch-all, so the scan touches ~1/N of the patterns.
-    This is where sharding pays off on retraction-heavy churn even before
-    any thread is spawned.
+    This is where sharding pays off on retraction-heavy churn, with or
+    without a process pool.
     """
 
     def __init__(
         self,
         n_shards: int,
-        lock: ContextManager | None = None,
         budget: int | None = None,
     ) -> None:
-        super().__init__(lock, budget=budget)
+        super().__init__(budget=budget)
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
         self.n_shards = n_shards

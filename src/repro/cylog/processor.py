@@ -59,7 +59,7 @@ class CyLogProcessor:
     """Interprets one CyLog project description (paper §2.1).
 
     ``config`` (a :class:`repro.config.RuntimeConfig`) selects a
-    hash-sharded relation store, a parallel executor and a support-index
+    hash-sharded relation store, a process pool and a support-index
     memory budget for the underlying engine; results are identical to the
     default single-store serial configuration — the shard-diff CI oracle
     gates on it.  (The PR-6 ``shard_config=`` spelling has been removed;
@@ -102,7 +102,7 @@ class CyLogProcessor:
         return self.compiled.program
 
     def close(self) -> None:
-        """Release the engine's executor threads (no-op when serial)."""
+        """Stop the engine's worker processes (no-op when serial)."""
         self.engine.close()
 
     # -- observers -----------------------------------------------------------

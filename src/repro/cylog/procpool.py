@@ -1,9 +1,9 @@
 """Process-based evaluation: GIL-free workers holding replica stores.
 
-The thread pool in :mod:`repro.cylog.sharding` is bound by the
-interpreter lock — per-shard tasks are pure Python joins, so worker
-threads serialise on the GIL and multi-worker speedups stall.  The
-:class:`ProcessExecutor` moves the same tasks into worker *processes*:
+Per-shard evaluation tasks are pure Python joins, so only separate
+interpreters evaluate them in parallel.  The :class:`ProcessExecutor`
+runs the engine's tasks in worker *processes*, through the same runner
+the inline path uses (:func:`~repro.cylog.engine.run_rule_task`):
 
 * Each worker holds a **replica** of the engine's relation store (a plain
   :class:`~repro.cylog.engine.RelationStore` — lookups over the same
@@ -25,8 +25,8 @@ threads serialise on the GIL and multi-worker speedups stall.  The
   :class:`~repro.cylog.engine.EngineStats`) come back tagged with the
   submission index and are returned **in submission order**, so the
   engine's serial merge produces bit-identical fixpoints, deltas and
-  derivation counters at any worker count — the same determinism
-  contract the thread pool honours.
+  derivation counters at any worker count, and equal to the inline
+  (serial) engine's.
 
 Each worker *subscribes* to exactly the (relation, primary shard)
 partitions its assigned task classes can probe
@@ -45,8 +45,8 @@ message is always applied first; no acknowledgement round-trips are
 needed.  Workers are spawned lazily (``fork`` where available, falling
 back to ``spawn``) and torn down by ``close()``.  A worker death
 mid-dispatch raises :class:`ProcessPoolBrokenError` after closing the
-pool; the engine reacts by demoting itself to inline serial evaluation
-(its own store was authoritative all along).
+pool; the engine reacts by running the same tasks inline and demoting
+itself to serial evaluation (its own store was authoritative all along).
 """
 
 from __future__ import annotations
@@ -57,8 +57,9 @@ import threading
 import traceback
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.cylog.engine import RelationStore, _relation_from, run_rule_task
 from repro.cylog.indexes import stable_hash
-from repro.cylog.sharding import ExecutorPolicy, probe_partitions
+from repro.cylog.sharding import probe_partitions
 
 Tuple_ = tuple[Any, ...]
 #: One shipped task: (rule index, join-plan position of the delta atom —
@@ -94,8 +95,6 @@ class _WorkerState:
     __slots__ = ("compiled", "store")
 
     def __init__(self, compiled, base_arities: Mapping[str, int]) -> None:
-        from repro.cylog.engine import RelationStore
-
         self.compiled = compiled
         self.store = RelationStore(compiled.index_specs())
         # The baseline ships arities instead of rows: the relations exist
@@ -107,7 +106,7 @@ class _WorkerState:
         # Mirror the engine's full run: head relations exist (empty) from
         # the start, so a probe against a not-yet-derived head counts an
         # index hit exactly as it does on the engine's store — keeping the
-        # scratch counters byte-identical to the thread pool's.
+        # scratch counters byte-identical to the inline path's.
         for rule in compiled.rules:
             self.store.get(rule.rule.head.predicate, rule.rule.head.arity)
 
@@ -137,42 +136,21 @@ def _apply_backfill(state: _WorkerState, predicate: str, arity: int, rows) -> No
         relation.add(row)
 
 
-def _run_task(
+def _run_descriptor(
     state: _WorkerState,
     rule_index: int,
     position: int | None,
     _delta_shard: int | None,
     rows: tuple[Tuple_, ...] | None,
 ):
-    """Evaluate one task descriptor — the process twin of the engine's
-    ``_rule_delta_task`` / round-0 closures, against the replica store."""
-    from repro.cylog.engine import (
-        EngineStats,
-        _head_tuple,
-        _relation_from,
-        solutions,
-        support_key_for,
-    )
-
-    rule = state.compiled.rules[rule_index]
-    scratch = EngineStats()
-    if position is None:
-        bindings_iter = solutions(rule.join_plan, state.store, stats=scratch)
-    else:
-        scratch.shard_tasks = 1
-        literal = rule.join_plan.steps[position].literal
-        delta_rel = _relation_from(set(rows), state.store.maybe(literal.predicate))
-        bindings_iter = solutions(
-            rule.delta_plans[position],
-            state.store,
-            delta_relation=delta_rel,
-            stats=scratch,
-        )
-    derived = [
-        (_head_tuple(rule, b), support_key_for(rule_index, rule, b))
-        for b in bindings_iter
-    ]
-    return derived, scratch
+    """Evaluate one task descriptor on the replica store: rebuild the
+    shipped delta rows as a relation and hand them to the engine's task
+    runner."""
+    delta = None
+    if position is not None:
+        literal = state.compiled.rules[rule_index].join_plan.steps[position].literal
+        delta = _relation_from(set(rows), state.store.maybe(literal.predicate))
+    return run_rule_task(state.compiled, state.store, rule_index, position, delta)
 
 
 def _worker_main(conn) -> None:
@@ -211,7 +189,7 @@ def _worker_main(conn) -> None:
                 if state is None:
                     raise RuntimeError("process worker received tasks before reset")
                 results = [
-                    (index, *_run_task(state, *descriptor))
+                    (index, *_run_descriptor(state, *descriptor))
                     for index, descriptor in message[1]
                 ]
                 conn.send_bytes(pickle.dumps(("results", results), -1))
@@ -226,7 +204,7 @@ def _worker_main(conn) -> None:
                 return
 
 
-class ProcessExecutor(ExecutorPolicy):
+class ProcessExecutor:
     """Fan evaluation tasks out to worker processes with replica stores.
 
     The engine talks to it through four calls: :meth:`reset` installs a
@@ -240,9 +218,6 @@ class ProcessExecutor(ExecutorPolicy):
     replayed to them through the FIFO pipe before any task, so a replica
     is always current when it evaluates.
     """
-
-    name = "process"
-    distributed = True
 
     def __init__(self, max_workers: int = 4) -> None:
         if max_workers < 1:
@@ -463,13 +438,7 @@ class ProcessExecutor(ExecutorPolicy):
         self._telemetry["bytes_to_workers"] += len(payload)
         self._replica_rows[worker_id] += len(rows)
 
-    # -- ExecutorPolicy ----------------------------------------------------
-    def map(self, tasks):
-        # Closures cannot cross a process boundary; the engine dispatches
-        # through run_rule_tasks instead and keeps closure-shaped work
-        # (e.g. parallel stratum batches) inline.
-        return [task() for task in tasks]
-
+    # -- pool lifecycle ----------------------------------------------------
     def _ensure_pool(self) -> None:
         with self._lock:
             if self._procs:

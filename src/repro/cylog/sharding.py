@@ -1,6 +1,6 @@
-"""Hash-sharded relation storage and pluggable evaluation executors.
+"""Hash-sharded relation storage and the engine's shard/executor layout.
 
-This module is the engine's concurrency story.  Two orthogonal pieces:
+This module is the engine's concurrency story, in three pieces:
 
 * :class:`ShardedRelation` / :class:`ShardedRelationStore` — drop-in
   replacements for :class:`~repro.cylog.engine.Relation` /
@@ -30,25 +30,22 @@ This module is the engine's concurrency story.  Two orthogonal pieces:
   also what lets per-(rule, target-shard) evaluation tasks ship one
   partition each to process workers.
 
-* :class:`ExecutorPolicy` — where per-shard / per-stratum evaluation
-  tasks run.  :class:`SerialExecutor` runs them inline;
-  :class:`ThreadedExecutor` fans them out to worker threads;
+* **Where tasks run** — ``ShardConfig.executor`` is ``"serial"`` (every
+  task runs inline against the engine's store) or ``"process"`` (a
   :class:`~repro.cylog.procpool.ProcessExecutor` ships picklable task
-  descriptors to worker processes holding replica stores (GIL-free, see
-  :mod:`repro.cylog.procpool`).  All of them return results in
-  submission order, and the engine merges them serially in that order,
-  so evaluation results (and the derivation counters in ``EngineStats``)
-  are identical at any worker count.  Tiny rounds are kept inline via
-  ``ShardConfig.min_parallel_rows`` — the fan-out must never cost more
-  than it saves on the small-delta churn the incremental engine is
-  optimised for.
+  descriptors to worker processes holding replica stores, GIL-free).
+  Both paths evaluate a task through the same runner,
+  :func:`~repro.cylog.engine.run_rule_task`, and the engine merges the
+  results serially in submission order, so evaluation results (and the
+  derivation counters in ``EngineStats``) are identical at any worker
+  count.  Tiny rounds stay inline via ``ShardConfig.min_parallel_rows`` —
+  the fan-out must never cost more than it saves on the small-delta
+  churn the incremental engine is optimised for.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
-import threading
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -58,7 +55,6 @@ from typing import (
     Iterator,
     Mapping,
     Sequence,
-    TypeVar,
 )
 
 from repro.cylog.ast import Atom, BodyLiteral, Negation
@@ -66,12 +62,12 @@ from repro.cylog.engine import Relation, RelationStore
 from repro.cylog.indexes import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cylog.procpool import ProcessExecutor
     from repro.cylog.safety import CompiledProgram
 
 Tuple_ = tuple[Any, ...]
-T = TypeVar("T")
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 def shard_of_value(value: Any, n_shards: int) -> int:
@@ -93,88 +89,11 @@ def shard_of(row: Sequence[Any], n_shards: int, position: int = 0) -> int:
     return stable_hash(row[position]) % n_shards
 
 
-# ---------------------------------------------------------------------------
-# Executors
-# ---------------------------------------------------------------------------
-
-
-class ExecutorPolicy:
-    """Strategy for running a batch of independent evaluation tasks.
-
-    ``map`` returns the task results **in submission order** regardless of
-    completion order; the engine's serial merge relies on that for
-    bit-identical results at any worker count.
-    """
-
-    name = "executor"
-    workers = 1
-    #: True when workers live in other processes and cannot see the
-    #: engine's store: tasks must be shipped as picklable descriptors
-    #: (see :mod:`repro.cylog.procpool`), not closures.
-    distributed = False
-
-    def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release worker resources (no-op for inline executors)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{self.name} executor ({self.workers} workers)>"
-
-
-class SerialExecutor(ExecutorPolicy):
-    """Run every task inline on the calling thread."""
-
-    name = "serial"
-
-    def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        return [task() for task in tasks]
-
-
-class ThreadedExecutor(ExecutorPolicy):
-    """Fan tasks out to a lazily created pool of worker threads.
-
-    The pool is created on first use (a serial-sized workload never spawns
-    threads) and shut down by :meth:`close`.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.workers = max_workers
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._lock = threading.Lock()
-
-    def _ensure_pool(self) -> concurrent.futures.ThreadPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="cylog-shard"
-                )
-            return self._pool
-
-    def map(self, tasks: Sequence[Callable[[], T]]) -> list[T]:
-        if len(tasks) <= 1:
-            return [task() for task in tasks]
-        pool = self._ensure_pool()
-        futures = [pool.submit(task) for task in tasks]
-        return [future.result() for future in futures]
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-
 @dataclass(frozen=True)
 class ShardConfig:
     """How an engine shards its store and where evaluation tasks run.
 
-    ``min_parallel_rows`` keeps small rounds inline: the thread fan-out is
+    ``min_parallel_rows`` keeps small rounds inline: the process pool is
     only engaged when the driving delta carries at least this many rows,
     so steady-state churn (a handful of facts per round) never pays
     dispatch overhead.
@@ -213,14 +132,14 @@ class ShardConfig:
                 f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
             )
 
-    def build_executor(self) -> ExecutorPolicy:
-        if self.executor == "thread":
-            return ThreadedExecutor(self.max_workers or 4)
-        if self.executor == "process":
-            from repro.cylog.procpool import ProcessExecutor
+    def build_pool(self) -> "ProcessExecutor | None":
+        """The process pool tasks dispatch to, or ``None`` when every task
+        runs inline (the serial executor)."""
+        if self.executor != "process":
+            return None
+        from repro.cylog.procpool import ProcessExecutor
 
-            return ProcessExecutor(self.max_workers or 4)
-        return SerialExecutor()
+        return ProcessExecutor(self.max_workers or 4)
 
     @property
     def sharded(self) -> bool:

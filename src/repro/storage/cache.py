@@ -18,57 +18,39 @@ from __future__ import annotations
 import contextlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
+
+from repro.metrics.counters import CounterRecord
 
 
 @dataclass
-class CacheStats:
+class CacheStats(CounterRecord):
     """Work counters for one :class:`QueryCache` (cumulative).
 
     ``hits`` are served straight from memory, ``misses`` are cold
     computations, ``invalidations`` are recomputations forced by a table
     version moving past a stored entry, and ``evictions`` count LRU drops.
     Every fetch is exactly one of hit / miss / invalidation.
+
+    :meth:`absorb` also takes a ``name -> increment`` mapping, which lets
+    a consumer keep its own attribution slice of a shared cache: the
+    worker page absorbs exactly the hits/misses its renders incurred into
+    a caller-supplied block (see
+    :func:`repro.forms.worker_page.render_worker_page`), so the serving
+    read path's cache effectiveness is observable per server rather than
+    inferred from the database-wide totals.
     """
+
+    collector_prefix = "query_cache"
 
     hits: int = 0
     misses: int = 0
     invalidations: int = 0
     evictions: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-            "evictions": self.evictions,
-        }
-
-    def to_collector(self, collector, prefix: str = "query_cache") -> None:
-        """Add every counter to a :class:`repro.metrics.Collector`."""
-        for name, value in self.as_dict().items():
-            collector.count(f"{prefix}.{name}", value)
-
     @property
     def fetches(self) -> int:
         return self.hits + self.misses + self.invalidations
-
-    def absorb(self, counters: "CacheStats | Mapping[str, int]") -> None:
-        """Add another stats block's counters into this one.
-
-        Lets a consumer keep its own attribution slice of a shared cache:
-        the worker page absorbs exactly the hits/misses its renders
-        incurred into a caller-supplied block (see
-        :func:`repro.forms.worker_page.render_worker_page`), so the
-        serving read path's cache effectiveness is observable per server
-        rather than inferred from the database-wide totals.
-        """
-        if isinstance(counters, CacheStats):
-            counters = counters.as_dict()
-        self.hits += counters.get("hits", 0)
-        self.misses += counters.get("misses", 0)
-        self.invalidations += counters.get("invalidations", 0)
-        self.evictions += counters.get("evictions", 0)
 
 
 @contextlib.contextmanager

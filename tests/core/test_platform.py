@@ -275,7 +275,7 @@ class TestShardedPlatform:
     def test_sharded_rounds_match_single_store(self):
         single = self._populated()
         sharded = self._populated(
-            config=RuntimeConfig(shards=4, executor="thread", max_workers=2)
+            config=RuntimeConfig(shards=4, executor="process", max_workers=2)
         )
         try:
             for _ in range(3):

@@ -40,9 +40,9 @@ class TestValidation:
             RuntimeConfig(support_budget=-1)
 
     def test_with_changes(self):
-        config = RuntimeConfig().with_changes(shards=4, executor="thread")
+        config = RuntimeConfig().with_changes(shards=4, executor="process")
         assert config.shards == 4
-        assert config.to_shard_config().executor == "thread"
+        assert config.to_shard_config().executor == "process"
 
     def test_build_database_durable(self, tmp_path):
         config = RuntimeConfig(backend="wal", path=tmp_path / "d")
@@ -79,7 +79,7 @@ class TestCrowd4UShim:
         # per-knob keywords are hard TypeErrors now, not warnings.
         for kwargs in (
             {"shards": 2},
-            {"executor": "thread"},
+            {"executor": "process"},
             {"max_workers": 2},
             {"exchange": False},
         ):
@@ -89,7 +89,7 @@ class TestCrowd4UShim:
     def test_config_paths_equivalent_across_layouts(self):
         old = Crowd4U(seed=5, config=RuntimeConfig())
         new = Crowd4U(
-            seed=5, config=RuntimeConfig(shards=2, executor="thread", max_workers=2)
+            seed=5, config=RuntimeConfig(shards=2, executor="process", max_workers=2)
         )
         for platform in (old, new):
             platform.register_worker("ann", self._factors())
@@ -157,13 +157,21 @@ class TestRemovedArguments:
             lambda: ShardConfig(replica_mode="pruned"),
             lambda: SemiNaiveEngine(program, planner="cost"),
             lambda: SemiNaiveEngine(program, shards=2),
-            lambda: SemiNaiveEngine(program, executor="thread"),
+            lambda: SemiNaiveEngine(program, executor="process"),
             lambda: SemiNaiveEngine(program, max_workers=2),
             lambda: compile_program(program, planner="cost"),
             lambda: Crowd4U(seed=1, incremental=False),
         ):
             with pytest.raises(TypeError):
                 build()
+
+    def test_thread_executor_removed(self):
+        """Evaluation runs inline or on the process pool; the thread pool
+        is gone from both configuration spellings."""
+        with pytest.raises(ValueError, match="unknown executor"):
+            RuntimeConfig(executor="thread")
+        with pytest.raises(ValueError, match="unknown executor"):
+            ShardConfig(executor="thread")
 
 
 class TestServingSlice:

@@ -101,7 +101,7 @@ class TestEngineLockstep:
         try:
             _load(serial), _load(process)
             assert process.run().relations == serial.run().relations
-            for proc in process._executor._procs:
+            for proc in process._pool._procs:
                 proc.terminate()
                 proc.join(timeout=5)
             for engine in (serial, process):

@@ -2,10 +2,11 @@
 
 The unit tests cover the sharded primitives directly; the hypothesis
 tests (marked ``shard_diff``, run with ``SHARD_DIFF_EXAMPLES=60`` by the
-CI ``shard-diff`` job) drive sharded/threaded engines through randomized
-programs and add/retract streams in lockstep with a single-store engine
-and require byte-identical snapshots after every run — the same
-discipline as the ``engine-diff`` and ``platform-diff`` oracles.
+CI ``shard-diff`` job) drive sharded serial and process-pool engines
+through randomized programs and add/retract streams in lockstep with a
+single-store engine and require byte-identical snapshots after every run
+— the same discipline as the ``engine-diff`` and ``platform-diff``
+oracles.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from diffgen import (
 from hypothesis import given, settings
 
 from repro.cylog import (
+    ProcessExecutor,
     SemiNaiveEngine,
-    SerialExecutor,
     ShardConfig,
     ShardedRelationStore,
-    ThreadedExecutor,
     parse_program,
 )
-from repro.cylog.engine import RelationStore
+from repro.cylog.engine import RelationStore, run_rule_task
 from repro.cylog.incremental import ShardedSupportIndex, SupportIndex
 from repro.cylog.sharding import (
     ShardedRelation,
@@ -41,16 +41,14 @@ from repro.cylog.sharding import (
 
 SHARD_EXAMPLES = int(os.environ.get("SHARD_DIFF_EXAMPLES", "15"))
 
-#: Serial / thread-pool configurations, with and without the exchange
-#: operator (``exchange=False`` keeps the chained-lookup fallback and the
-#: single store's plans on non-prefix join keys).
-THREAD_CONFIGS = (
+#: Serial configurations, with and without the exchange operator
+#: (``exchange=False`` keeps the chained-lookup fallback and the single
+#: store's plans on non-prefix join keys).
+SERIAL_CONFIGS = (
     ShardConfig(shards=1),
     ShardConfig(shards=2),
     ShardConfig(shards=8),
     ShardConfig(shards=8, exchange=False),
-    ShardConfig(shards=2, executor="thread", max_workers=2, min_parallel_rows=0),
-    ShardConfig(shards=8, executor="thread", max_workers=4, min_parallel_rows=0),
 )
 
 #: Process-pool configurations: shard-pruned replica stores (each worker
@@ -63,12 +61,12 @@ PROCESS_CONFIGS = (
 )
 
 #: The configurations the oracle compares against the single store.  The
-#: CI ``shard-diff`` job matrix runs the thread and process suites as
+#: CI ``shard-diff`` job matrix runs the serial and process suites as
 #: separate entries (``SHARD_DIFF_SUITE``); everything runs by default.
 SHARD_CONFIGS = {
-    "threads": THREAD_CONFIGS,
+    "serial": SERIAL_CONFIGS,
     "process": PROCESS_CONFIGS,
-    "all": THREAD_CONFIGS + PROCESS_CONFIGS,
+    "all": SERIAL_CONFIGS + PROCESS_CONFIGS,
 }[os.environ.get("SHARD_DIFF_SUITE", "all")]
 
 
@@ -290,31 +288,22 @@ class TestShardedRelationStore:
 
 class TestExecutors:
     def test_serial_preserves_order(self):
-        executor = SerialExecutor()
-        assert executor.map([lambda i=i: i * i for i in range(10)]) == [
-            i * i for i in range(10)
+        """The serial executor builds no pool: the engine runs each task
+        inline through the same runner the process workers use, in
+        submission order."""
+        assert ShardConfig().build_pool() is None
+        assert ShardConfig(shards=8).build_pool() is None
+        engine = SemiNaiveEngine(
+            parse_program("e(1, 2). e(2, 3). a(X) :- e(X, _). b(Y) :- e(_, Y).")
+        )
+        engine.run()
+        compiled, store = engine._active, engine.store
+        results = [
+            run_rule_task(compiled, store, index, None, None)[0]
+            for index in (1, 0, 1)
         ]
-
-    def test_thread_pool_preserves_order(self):
-        executor = ThreadedExecutor(max_workers=4)
-        try:
-            assert executor.map([lambda i=i: i * i for i in range(50)]) == [
-                i * i for i in range(50)
-            ]
-        finally:
-            executor.close()
-
-    def test_thread_pool_propagates_errors(self):
-        executor = ThreadedExecutor(max_workers=2)
-
-        def boom():
-            raise RuntimeError("task failed")
-
-        try:
-            with pytest.raises(RuntimeError, match="task failed"):
-                executor.map([lambda: 1, boom, lambda: 3])
-        finally:
-            executor.close()
+        heads = [sorted(row for row, _ in derived) for derived in results]
+        assert heads == [[(2,), (3,)], [(1,), (2,)], [(2,), (3,)]]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -322,16 +311,13 @@ class TestExecutors:
         with pytest.raises(ValueError):
             ShardConfig(executor="fork")
         with pytest.raises(ValueError):
-            ThreadedExecutor(max_workers=0)
+            ShardConfig(executor="thread")
 
     def test_process_executor_config(self):
-        from repro.cylog import ProcessExecutor
-
         config = ShardConfig(shards=4, executor="process", max_workers=2)
-        executor = config.build_executor()
+        executor = config.build_pool()
         try:
             assert isinstance(executor, ProcessExecutor)
-            assert executor.distributed
             assert executor.workers == 2
         finally:
             executor.close()
@@ -363,15 +349,6 @@ class TestShardedSupportIndex:
             index.discard_tuple("d", (1,))
             assert index.count("d", (1,)) == 0
             assert index.dependents("e", (1, 2)) == []
-
-    def test_merge_from_is_a_set_union(self):
-        main, scratch = ShardedSupportIndex(4), SupportIndex()
-        key = (0, (("e", (1, 2)),))
-        scratch.add("d", (1,), key)
-        scratch.add("d", (2,), (0, (("e", (2, None)),)))
-        main.add("d", (1,), key)  # overlap: merge must not double-count
-        assert main.merge_from(scratch) == 1
-        assert len(main) == 2
 
 
 class TestWriteAwareReplan:
@@ -486,7 +463,7 @@ def test_sharded_engines_agree_on_fixpoint(source: str):
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_sharded_add_retract_lockstep(source: str, ops):
     """Randomized add/retract streams run in lockstep on every sharded /
-    threaded configuration and on the single store; after *every* run the
+    process configuration and on the single store; after *every* run the
     snapshots and the reported deltas must be byte-identical, and no
     configuration may fall back to a hidden full re-run."""
     program = parse_program(source)
@@ -525,7 +502,7 @@ def test_sharded_matches_scratch_reload(source: str, ops):
     from-scratch single-store evaluation over the same base facts."""
     program = parse_program(source)
     engine = _engine_with(
-        program, ShardConfig(shards=8, executor="thread", max_workers=2)
+        program, ShardConfig(shards=8, executor="process", max_workers=2)
     )
     try:
         engine.run()
@@ -562,7 +539,7 @@ def test_sharded_matches_scratch_reload(source: str, ops):
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_interval_leg_sharded_lockstep(ops):
     """Interval leg of the shard-diff oracle: random forest churn runs in
-    lockstep on every sharded/threaded/process configuration (interval on,
+    lockstep on every sharded serial/process configuration (interval on,
     the default) and on a single-store *fixpoint-only* reference.  After
     every run the snapshots and reported deltas must be byte-identical —
     the interval index lives engine-side, so no executor, shard count or
@@ -610,7 +587,7 @@ def _determinism_program():
 
 #: Executor-transport telemetry: how rows *moved*, not what was derived.
 #: ``sync_rows``/``sync_bytes`` count the engine's canonical change sets
-#: (zero on non-distributed executors); ``replica_backfills`` counts
+#: (zero on the serial executor); ``replica_backfills`` counts
 #: per-executor replica work and legitimately varies across executors and
 #: worker counts.  Everything *outside* this set must be byte-identical
 #: everywhere.
@@ -624,35 +601,43 @@ def _derivation_only(stats: dict) -> dict:
     return stats
 
 
+#: Task-split telemetry: the process pool splits each big round's tasks
+#: into per-shard delta partitions, and each partition counts one task
+#: and one scan of its delta, where the inline path runs one task per
+#: (rule, delta atom).  How the work was cut, not what was derived.
+SPLIT_KEYS = ("shard_tasks", "full_scans")
+
+
 class TestExecutorDeterminism:
-    """Satellite gate: fixed-seed runs at worker counts 1/2/8 produce
-    identical results *and* identical derivation counters — on the thread
-    pool and on the process pool."""
+    """Satellite gate: fixed-seed runs on the process pool at worker
+    counts 1/2/8 produce identical results *and* identical derivation
+    counters — to each other and to the serial engine."""
 
     WORKER_COUNTS = (1, 2, 8)
 
-    def _run_all(self, executor: str = "thread"):
-        program = _determinism_program()
-        outcomes = []
-        for workers in self.WORKER_COUNTS:
-            engine = SemiNaiveEngine(
-                program,
-                shard_config=ShardConfig(
+    def _run(self, config: ShardConfig):
+        engine = SemiNaiveEngine(_determinism_program(), shard_config=config)
+        try:
+            first = engine.run()
+            engine.retract_facts("link", [(5, 6), (9, 10)])
+            engine.add_facts("link", [(100, 101), (5, 100)])
+            second = engine.run()
+            return first, second, engine.stats.as_dict()
+        finally:
+            engine.close()
+
+    def _run_all(self):
+        return [
+            self._run(
+                ShardConfig(
                     shards=8,
-                    executor=executor,
+                    executor="process",
                     max_workers=workers,
                     min_parallel_rows=0,
-                ),
+                )
             )
-            try:
-                first = engine.run()
-                engine.retract_facts("link", [(5, 6), (9, 10)])
-                engine.add_facts("link", [(100, 101), (5, 100)])
-                second = engine.run()
-                outcomes.append((first, second, engine.stats.as_dict()))
-            finally:
-                engine.close()
-        return outcomes
+            for workers in self.WORKER_COUNTS
+        ]
 
     def test_results_and_stats_identical_at_any_worker_count(self):
         outcomes = self._run_all()
@@ -663,28 +648,27 @@ class TestExecutorDeterminism:
             assert second.added_rows == baseline_second.added_rows
             assert second.removed_rows == baseline_second.removed_rows
             # Derivation counters — not just the fixpoint — must be
-            # executor-independent: the serial merge does all counting.
-            assert stats == baseline_stats
+            # worker-count-independent: the serial merge does all counting.
+            assert _derivation_only(stats) == _derivation_only(baseline_stats)
 
-    def test_process_pool_matches_thread_pool_bit_for_bit(self):
+    def test_process_pool_matches_serial_bit_for_bit(self):
         """Same program, same updates: every process-pool run must equal
-        the thread-pool baseline — results, deltas and the full counter
-        record except ``shard_tasks`` (the thread pool additionally fans
-        out whole stratum batches, which the process pool keeps inline)
-        and the transport telemetry (threads never ship rows)."""
-        thread_outcomes = self._run_all("thread")
-        process_outcomes = self._run_all("process")
-        for (t_first, t_second, t_stats), (p_first, p_second, p_stats) in zip(
-            thread_outcomes, process_outcomes
-        ):
-            assert p_first.relations == t_first.relations
-            assert p_second.relations == t_second.relations
-            assert p_second.added_rows == t_second.added_rows
-            assert p_second.removed_rows == t_second.removed_rows
-            t_stats = _derivation_only(t_stats)
+        the serial engine — results, deltas and the full counter record
+        except the task-split telemetry (``SPLIT_KEYS``) and the transport
+        telemetry (the serial engine never ships rows)."""
+        s_first, s_second, s_stats = self._run(ShardConfig(shards=8))
+        s_stats = _derivation_only(s_stats)
+        for p_first, p_second, p_stats in self._run_all():
+            assert p_first.relations == s_first.relations
+            assert p_second.relations == s_second.relations
+            assert p_second.added_rows == s_second.added_rows
+            assert p_second.removed_rows == s_second.removed_rows
             p_stats = _derivation_only(p_stats)
-            t_stats.pop("shard_tasks"), p_stats.pop("shard_tasks")
-            assert p_stats == t_stats
+            for key in SPLIT_KEYS:
+                assert p_stats.pop(key) >= s_stats[key]
+            assert p_stats == {
+                k: v for k, v in s_stats.items() if k not in SPLIT_KEYS
+            }
 
     def test_replica_modes_bit_identical(self):
         """Shard-pruned replicas (the process pool's replica layout)
@@ -692,7 +676,7 @@ class TestExecutorDeterminism:
         canonical sync volume* at every worker count — pruning changes
         what each worker holds, never what the engine derives or how much
         it mutated."""
-        outcomes = self._run_all("process")
+        outcomes = self._run_all()
         b_first, b_second, baseline = outcomes[0]
         for first, second, stats in outcomes[1:]:
             assert first.relations == b_first.relations
@@ -709,8 +693,8 @@ class TestExecutorDeterminism:
         """Replica transport telemetry is exercised (syncs and backfills
         happen) and a repeated identical run reproduces every counter
         byte-for-byte — transport included."""
-        pruned_a = self._run_all("process")
-        pruned_b = self._run_all("process")
+        pruned_a = self._run_all()
+        pruned_b = self._run_all()
         for (_, _, stats_a), (_, _, stats_b) in zip(pruned_a, pruned_b):
             assert stats_a == stats_b
         assert all(stats["sync_rows"] > 0 for _, _, stats in pruned_a)
@@ -754,7 +738,7 @@ class TestExecutorDeterminism:
         and executor independent."""
         by_executor = {
             executor: self._run_interval(executor)
-            for executor in ("serial", "thread", "process")
+            for executor in ("serial", "process")
         }
         serial_first, serial_second, serial_stats = by_executor["serial"][0]
         assert serial_stats["interval_scans"] > 0  # the path actually engaged
@@ -765,5 +749,6 @@ class TestExecutorDeterminism:
                 assert second.removed_rows == serial_second.removed_rows, executor
                 derivation = _derivation_only(stats)
                 baseline = _derivation_only(serial_stats)
-                derivation.pop("shard_tasks"), baseline.pop("shard_tasks")
+                for key in SPLIT_KEYS:
+                    derivation.pop(key), baseline.pop(key)
                 assert derivation == baseline, executor

@@ -100,6 +100,53 @@ class TestCollector:
         assert "t_total_s" in summary and "s_mean" in summary
 
 
+class TestCounterRecords:
+    def test_keys_follow_field_order(self):
+        from repro.core.platform import PlatformStats
+        from repro.cylog import EngineStats
+        from repro.storage.cache import CacheStats
+
+        assert list(CacheStats().as_dict()) == [
+            "hits",
+            "misses",
+            "invalidations",
+            "evictions",
+        ]
+        assert list(PlatformStats().as_dict()) == [
+            "rounds",
+            "eligibility_tasks_full",
+            "eligibility_tasks_partial",
+            "eligibility_tasks_skipped",
+            "eligibility_pairs_checked",
+            "eligibility_pairs_skipped",
+            "eligibility_revoked",
+            "assignment_attempts",
+            "assignments_skipped",
+            "cross_checks",
+        ]
+        engine = EngineStats().as_dict()
+        assert "plans" not in engine
+        assert list(engine)[:3] == ["full_runs", "incremental_runs", "rounds"]
+
+    def test_absorb_record_or_mapping_and_collect(self):
+        from repro.storage.cache import CacheStats
+
+        stats = CacheStats(hits=1)
+        stats.absorb(CacheStats(hits=2, evictions=1))
+        stats.absorb({"misses": 4})
+        assert stats.as_dict() == {
+            "hits": 3,
+            "misses": 4,
+            "invalidations": 0,
+            "evictions": 1,
+        }
+        collector = Collector()
+        stats.to_collector(collector)
+        stats.to_collector(collector, prefix="page")
+        assert collector.counters["query_cache.hits"] == 3
+        assert collector.counters["page.misses"] == 4
+
+
 class TestFormatTable:
     def test_alignment_and_floats(self):
         table = format_table(("name", "value"), [("a", 1.23456), ("bb", 7)],
