@@ -1,18 +1,16 @@
-"""E11 — durable storage backends: throughput and crash recovery (PR 6).
+"""E11 — durable storage: throughput and crash recovery.
 
 One churn-heavy mutation stream (bulk load, then repeated update /
-delete / reinsert passes) is applied to all three backends — in-memory,
-WAL and SQLite — and every backend must land on the byte-identical
-canonical dump.  The record then captures:
+delete / reinsert passes) is applied to an in-memory database and a
+WAL-backed one, and both must land on the byte-identical canonical
+dump.  The record then captures:
 
 * **Mutation throughput** per backend: what durability costs on the
-  write path (the WAL appends one JSONL record per mutation; SQLite runs
-  one ``BEGIN IMMEDIATE`` transaction per mutation).
+  write path (the WAL appends one JSONL record per mutation).
 * **Query throughput** per backend: point lookups served by the
   authoritative in-memory table, demonstrating the read path is
-  backend-independent; plus the SQLite materialized-listing lookup rate
-  for the worker-page-style keyed query.
-* **Recovery**: reopening each durable database after the churn history.
+  backend-independent.
+* **Recovery**: reopening the WAL database after the churn history.
   The headline — and the gated metric — is
   ``speedup_snapshot_vs_replay``: recovering a *compacted* WAL (snapshot
   + empty tail) versus replaying the full mutation history.  The churn
@@ -34,14 +32,12 @@ from repro.storage import (
     dump_canonical,
     open_database,
 )
-from repro.storage.backends import ListingSpec
 
 from fastmode import pick
 
 LIVE_ROWS = pick(1500, 80)
 CHURN_PASSES = pick(12, 3)
 N_QUERIES = pick(30000, 1500)
-N_LISTING_QUERIES = pick(4000, 200)
 N_KINDS = 7
 
 #: Large enough that the replay-side WAL never auto-compacts: its whole
@@ -56,14 +52,6 @@ EVENTS = TableSchema(
         Column("n", ColumnType.INT),
     ],
     primary_key=("id",),
-)
-
-#: Worker-page-shaped keyed lookup over the churn table.
-LISTING = ListingSpec(
-    name="events_by_kind",
-    source="events",
-    key="kind",
-    columns=("kind", "id", "n"),
 )
 
 
@@ -104,20 +92,13 @@ def _timed_open(target, backend, **options):
 
 def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
     tmp = tmp_path_factory.mktemp("e11")
-    targets = {
-        "memory": None,
-        "wal": tmp / "wal-replay",
-        "sqlite": tmp / "db.sqlite",
-    }
+    wal_target = tmp / "wal-replay"
     records = []
     dumps = {}
-    for name, target in targets.items():
-        if name == "memory":
-            db = Database()
-        elif name == "sqlite":
-            db = open_database(target, backend=name, listings=(LISTING,))
-        else:
-            db = open_database(target, backend=name, compact_every=NO_COMPACT)
+    for name, db in (
+        ("memory", Database()),
+        ("wal", open_database(wal_target, backend="wal", compact_every=NO_COMPACT)),
+    ):
         start = time.perf_counter()
         ops = _apply_stream(db)
         mutate_s = time.perf_counter() - start
@@ -129,37 +110,19 @@ def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
             "mutation_ops_per_s": round(ops / mutate_s, 1),
             "query_ops_per_s": round(query_ops_per_s, 1),
         }
-        if name == "sqlite":
-            start = time.perf_counter()
-            for i in range(N_LISTING_QUERIES):
-                db.backend.query_listing("events_by_kind", f"e{i % N_KINDS}")
-            listing_s = time.perf_counter() - start
-            record["listing_query_ops_per_s"] = round(
-                N_LISTING_QUERIES / listing_s, 1
-            )
         db.close()
         records.append(record)
 
-    # Every backend must have observed the identical state.
+    # Both must have observed the identical state.
     assert dumps["wal"] == dumps["memory"]
-    assert dumps["sqlite"] == dumps["memory"]
 
     # Recovery: replaying the full churn history ...
-    db, replay_s = _timed_open(
-        targets["wal"], "wal", compact_every=NO_COMPACT
-    )
+    db, replay_s = _timed_open(wal_target, "wal", compact_every=NO_COMPACT)
     assert dump_canonical(db) == dumps["memory"]
     # ... versus recovering from a compacted snapshot of the same state.
     db.backend.compact()
     db.close()
-    db, snapshot_s = _timed_open(
-        targets["wal"], "wal", compact_every=NO_COMPACT
-    )
-    assert dump_canonical(db) == dumps["memory"]
-    db.close()
-    db, sqlite_recover_s = _timed_open(
-        targets["sqlite"], "sqlite", listings=(LISTING,)
-    )
+    db, snapshot_s = _timed_open(wal_target, "wal", compact_every=NO_COMPACT)
     assert dump_canonical(db) == dumps["memory"]
     db.close()
 
@@ -173,35 +136,27 @@ def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
                 "churn_passes": CHURN_PASSES,
                 "mutations": by_backend["memory"]["mutations"],
                 "queries": N_QUERIES,
-                "listing_queries": N_LISTING_QUERIES,
             },
             "recovery": {
                 "wal_replay_s": round(replay_s, 4),
                 "wal_snapshot_s": round(snapshot_s, 4),
-                "sqlite_s": round(sqlite_recover_s, 4),
             },
             "speedup_snapshot_vs_replay": round(speedup, 2),
             "backends": records,
         },
     )
     rows = [
-        (
-            r["backend"],
-            r["mutations"],
-            r["mutation_ops_per_s"],
-            r["query_ops_per_s"],
-            r.get("listing_query_ops_per_s", "-"),
-        )
+        (r["backend"], r["mutations"], r["mutation_ops_per_s"], r["query_ops_per_s"])
         for r in records
     ]
     emit(format_table(
-        ("backend", "mutations", "mutate ops/s", "query ops/s", "listing ops/s"),
+        ("backend", "mutations", "mutate ops/s", "query ops/s"),
         rows,
         title=(
             f"E11 — storage backends ({LIVE_ROWS} live rows, "
             f"{CHURN_PASSES} churn passes; recovery: replay "
             f"{replay_s * 1000:.0f} ms vs snapshot {snapshot_s * 1000:.0f} ms "
-            f"= {speedup:.1f}x, sqlite {sqlite_recover_s * 1000:.0f} ms)"
+            f"= {speedup:.1f}x)"
         ),
     ))
     if not pick(False, True):  # full-size runs must show the headline shape

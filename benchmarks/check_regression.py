@@ -62,7 +62,7 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
 #: Reported next to the gated metrics but never gated (hardware-coupled).
 CONTEXT_METRICS: dict[str, tuple[str, ...]] = {
     "E10f": ("speedup_process_vs_serial",),
-    "E11": ("mutation_ops_per_s", "listing_query_ops_per_s"),
+    "E11": ("mutation_ops_per_s",),
     "E13": ("speedup_build_interval_vs_fixpoint",),
     "E14": ("p99_ms", "coalescing_x"),
     "E15a": ("ticks_per_s", "p99_tick_ms"),

@@ -1,13 +1,11 @@
-"""Durable storage backends: the same platform state across restarts.
+"""Durable storage: the same platform state across restarts.
 
-The storage engine under the platform is pluggable
-(:mod:`repro.storage.backends`): the default keeps everything in memory,
-``backend="wal"`` mirrors every mutation into an append-only JSONL log
-with snapshot compaction, and ``backend="sqlite"`` into a SQLite file in
-WAL mode with materialized listing tables for the hot worker-page query.
-Both durable backends rebuild a byte-identical database — rows,
-insertion order and ``Table.version`` counters — on reopen, which this
-example demonstrates by "restarting" twice and diffing canonical dumps.
+The default deployment keeps everything in memory; ``backend="wal"``
+(:mod:`repro.storage.backends.wal`) mirrors every mutation into an
+append-only JSONL log with snapshot compaction.  Reopening rebuilds a
+byte-identical database — rows, insertion order and ``Table.version``
+counters — which this example demonstrates by "restarting" twice and
+diffing canonical dumps.
 
 Run:  python examples/durable_storage.py
 """
@@ -16,7 +14,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Crowd4U, HumanFactors, RuntimeConfig
-from repro.storage import dump_canonical, open_database
+from repro.storage import dump_canonical
 
 workdir = Path(tempfile.mkdtemp(prefix="crowd4u-durable-"))
 
@@ -59,15 +57,3 @@ reopened = config.build_database()
 assert dump_canonical(reopened) == state
 print("reopened WAL database matches byte-for-byte:", reopened.counts())
 reopened.close()
-
-# -- 3. the SQLite backend, plus its materialized worker-page listing --------
-db = open_database(workdir / "crowd4u.sqlite", backend="sqlite")
-platform = Crowd4U(seed=7, db=db)
-populate(platform)
-listing = db.backend.query_listing("worker_page", "w00001")
-print("sqlite worker-page listing (indexed, materialized):", listing)
-platform.close()
-
-db = open_database(workdir / "crowd4u.sqlite", backend="sqlite")
-print("reopened sqlite database:", db.counts())
-db.close()

@@ -29,7 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.server import PlatformServer
     from repro.storage.database import Database
 
-_BACKENDS = ("memory", "wal", "sqlite")
+_BACKENDS = ("memory", "wal")
 _EXECUTORS = ("serial", "process")
 
 
@@ -37,11 +37,11 @@ _EXECUTORS = ("serial", "process")
 class RuntimeConfig:
     """One value object describing how a deployment runs.
 
-    Storage: ``backend`` picks the durability layer (``"memory"``,
-    ``"wal"`` or ``"sqlite"``; see :mod:`repro.storage.backends`) and
-    ``path`` the WAL directory / SQLite file — required for the durable
-    backends.  ``backend_options`` is forwarded to the backend
-    constructor (e.g. ``{"compact_every": 1000}``).
+    Storage: ``backend`` is ``"memory"`` (no durability; no backend is
+    attached) or ``"wal"`` (see :mod:`repro.storage.backends.wal`), which
+    requires ``path``, the WAL directory.  ``backend_options`` is
+    forwarded to the WAL backend constructor (e.g.
+    ``{"compact_every": 1000}``).
 
     Evaluation: ``shards`` / ``executor`` / ``max_workers`` /
     ``exchange`` configure the CyLog engine exactly like
@@ -114,11 +114,7 @@ class RuntimeConfig:
         """Open the database this configuration describes."""
         from repro.storage.backends import open_database
 
-        if self.backend == "memory":
-            return open_database(backend="memory", **self.backend_options)
-        return open_database(
-            self.path, backend=self.backend, **self.backend_options
-        )
+        return open_database(self.path, backend=self.backend, **self.backend_options)
 
     def build_server(self, platform=None, **server_options: Any) -> "PlatformServer":
         """The one way to get a :class:`~repro.serving.server.PlatformServer`.

@@ -314,9 +314,6 @@ class SupportIndex:
         out.extend(self._wild_matches(predicate, row))
         return out
 
-    def __len__(self) -> int:
-        return sum(len(entry) for entry in self._supports.values())
-
 
 class ShardedSupportIndex(SupportIndex):
     """A support index whose wildcard reverse index is hash-sharded.

@@ -8,8 +8,8 @@ architecture of Figure 2 in the paper.
 The engine is deliberately small but real: typed schemas, primary-key /
 unique / foreign-key / not-null enforcement, hash and sorted secondary
 indexes, a relational-algebra query builder (selection, projection, joins,
-grouping/aggregation, ordering), undo-log transactions and JSON-lines
-persistence.
+grouping/aggregation, ordering), undo-log transactions and an optional
+write-ahead-logged durability mirror (:mod:`repro.storage.backends`).
 
 Quick tour:
 
@@ -25,12 +25,7 @@ Quick tour:
 [{'id': 'w1', 'skill': 0.9}]
 """
 
-from repro.storage.backends import (
-    MemoryBackend,
-    Mutation,
-    StorageBackend,
-    open_database,
-)
+from repro.storage.backends import Mutation, open_database
 from repro.storage.cache import CacheStats, QueryCache
 from repro.storage.database import Database
 from repro.storage.errors import (
@@ -44,7 +39,7 @@ from repro.storage.errors import (
     UnknownTableError,
 )
 from repro.storage.expr import Expr, col, lit
-from repro.storage.persistence import dump_canonical, load_database, save_database
+from repro.storage.persistence import dump_canonical
 from repro.storage.query import Query
 from repro.storage.schema import Column, ForeignKey, TableSchema
 from repro.storage.table import Table
@@ -60,13 +55,11 @@ __all__ = [
     "Expr",
     "ForeignKey",
     "ForeignKeyError",
-    "MemoryBackend",
     "Mutation",
     "NotNullViolation",
     "Query",
     "QueryCache",
     "SchemaError",
-    "StorageBackend",
     "Table",
     "TableSchema",
     "TypeMismatchError",
@@ -75,7 +68,5 @@ __all__ = [
     "col",
     "dump_canonical",
     "lit",
-    "load_database",
     "open_database",
-    "save_database",
 ]

@@ -1,9 +1,8 @@
-"""Pluggable storage backends and the ``open_database`` entry point.
+"""The durable storage backend and the ``open_database`` entry point.
 
-Submodules are imported lazily (PEP 562): ``base`` is imported by
-``repro.storage.table`` at module load, so pulling ``wal``/``sqlite`` —
-which import the table module back through persistence — at package
-import time would create a cycle.
+A database is either purely in memory (no backend attached) or mirrored
+to disk by a :class:`~repro.storage.backends.wal.WalBackend`, whose
+directory — snapshot plus append-only log — is the one on-disk form.
 """
 
 from __future__ import annotations
@@ -11,93 +10,40 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.storage.backends.base import (
-    MemoryBackend,
-    Mutation,
-    StorageBackend,
-)
+from repro.storage.backends.base import Mutation
+from repro.storage.backends.wal import WalBackend
 from repro.storage.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
-__all__ = [
-    "ListingSpec",
-    "MemoryBackend",
-    "Mutation",
-    "SqliteBackend",
-    "StorageBackend",
-    "WalBackend",
-    "open_database",
-]
-
-#: name -> (module, class) — resolved on first use.
-BACKENDS: dict[str, tuple[str, str]] = {
-    "memory": ("repro.storage.backends.base", "MemoryBackend"),
-    "wal": ("repro.storage.backends.wal", "WalBackend"),
-    "sqlite": ("repro.storage.backends.sqlite", "SqliteBackend"),
-}
-
-_LAZY = {
-    "WalBackend": ("repro.storage.backends.wal", "WalBackend"),
-    "SqliteBackend": ("repro.storage.backends.sqlite", "SqliteBackend"),
-    "ListingSpec": ("repro.storage.backends.sqlite", "ListingSpec"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def backend_class(name: str) -> type[StorageBackend]:
-    """Resolve a backend name from the registry to its class."""
-    try:
-        module_name, attr = BACKENDS[name]
-    except KeyError:
-        raise StorageError(
-            f"unknown storage backend {name!r}; choose from {sorted(BACKENDS)}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
+__all__ = ["Mutation", "WalBackend", "open_database"]
 
 
 def open_database(
     path: str | Path | None = None,
     *,
-    backend: str | StorageBackend = "memory",
+    backend: str = "memory",
     **options: Any,
 ) -> "Database":
-    """Open (or create) a database on the chosen backend.
+    """Open (or create) a database.
 
-    ``backend`` is a registry name (``"memory"``, ``"wal"``, ``"sqlite"``)
-    or an already-constructed :class:`StorageBackend`.  ``path`` is the
-    WAL directory / SQLite file and is required for the durable backends;
-    ``options`` are forwarded to the backend constructor (e.g.
-    ``compact_every=`` for WAL, ``listings=`` for SQLite).  Existing
-    persisted state is restored; otherwise an empty durable database is
-    created.
+    ``backend="memory"`` returns a bare in-memory database and takes no
+    path.  ``backend="wal"`` requires ``path``, the WAL directory;
+    ``options`` are forwarded to :class:`WalBackend` (e.g.
+    ``compact_every=``).  Existing persisted state is restored; otherwise
+    an empty durable database is created.
     """
     from repro.storage.database import Database
 
-    if isinstance(backend, StorageBackend):
-        if path is not None or options:
-            raise StorageError(
-                "pass path/options to the backend constructor, not open_database, "
-                "when providing a backend instance"
-            )
-        return Database(backend)
-    cls = backend_class(backend)
     if backend == "memory":
-        if path is not None:
-            raise StorageError("the memory backend takes no path")
-        return Database(cls(**options))
+        if path is not None or options:
+            raise StorageError("the memory backend takes no path or options")
+        return Database()
+    if backend != "wal":
+        raise StorageError(
+            f"unknown storage backend {backend!r}; choose from ['memory', 'wal']"
+        )
     if path is None:
         raise StorageError(f"backend {backend!r} requires a path")
-    return Database(cls(path, **options))
+    return Database(WalBackend(path, **options))

@@ -1,48 +1,19 @@
-"""The storage-backend contract: durability as a pluggable layer.
+"""The physical mutation record a table streams to its durability mirror.
 
 The in-memory :class:`~repro.storage.table.Table` remains the single
-source of truth for reads — every backend is a *durability mirror* that
-observes the physical mutation stream and can rebuild an identical
-database (rows, schemas, indexes via re-insertion, and the monotone
-``Table.version`` counters) after a restart or a crash.
-
-Wire protocol between the database and a backend:
-
-* :meth:`StorageBackend.attach` — called once by
-  :meth:`~repro.storage.database.Database.attach_backend`.  The backend
-  either *restores* previously persisted state into the (empty) database
-  or *adopts* the database's current contents as its initial persisted
-  state.
-* :meth:`StorageBackend.on_create_table` / :meth:`on_drop_table` —
-  catalogue changes.
-* :meth:`StorageBackend.on_mutation` — one :class:`Mutation` per physical
-  row mutation, including the undo log's raw rollback operations, in
-  exactly the order the table applied them.  Replaying the stream
-  therefore reproduces row content, insertion order *and* version
-  counters (every record corresponds to exactly one ``version`` bump).
-
-Implementations: :class:`MemoryBackend` (no durability, the default
-semantics of a bare ``Database``), :class:`~repro.storage.backends.wal.WalBackend`
-(append-only JSONL log + snapshot compaction) and
-:class:`~repro.storage.backends.sqlite.SqliteBackend` (SQLite in WAL
-mode with materialized listing tables).
+source of truth for reads.  When a
+:class:`~repro.storage.backends.wal.WalBackend` is attached, every table
+emits one :class:`Mutation` per physical row mutation — including the
+undo log's raw rollback operations — in exactly the order the table
+applied them.  Replaying the stream therefore reproduces row content,
+insertion order *and* version counters (every record corresponds to
+exactly one ``version`` bump).
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.storage.database import Database
-    from repro.storage.schema import TableSchema
-
-#: Physical mutation opcodes, mirroring Table's version-bumping operations.
-OP_INSERT = "insert"
-OP_DELETE = "delete"
-OP_REPLACE = "replace"
-OP_TRUNCATE = "truncate"
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -62,102 +33,3 @@ class Mutation:
     pk: tuple[Any, ...] | None = None
     row: dict[str, Any] | None = None
     new_pk: tuple[Any, ...] | None = None
-
-
-class StorageBackend(abc.ABC):
-    """Durability provider for one :class:`~repro.storage.database.Database`.
-
-    Subclasses implement the persistence hooks; the attach handshake and
-    the adopt path (bootstrapping persistence for an already-populated
-    in-memory database) are shared.
-    """
-
-    #: Registry name, e.g. ``"wal"``; also reported by :meth:`describe`.
-    name: str = "abstract"
-
-    _db: "Database | None" = None
-
-    # -- attach handshake ---------------------------------------------------
-    def attach(self, db: "Database") -> bool:
-        """Bind to ``db``: restore persisted state into it, or adopt its
-        current contents when no persisted state exists yet.
-
-        Returns ``True`` when persisted state was restored.  Called by
-        :meth:`Database.attach_backend`, which wires the mutation sinks
-        *afterwards* so nothing done here is re-logged.
-        """
-        self._db = db
-        restored = self.restore_into(db)
-        if not restored and db.table_names:
-            self._adopt(db)
-        return restored
-
-    def _adopt(self, db: "Database") -> None:
-        """Persist the database's current contents as the initial state."""
-        from repro.storage.persistence import topological_order
-
-        schemas = [db.table(name).schema for name in db.table_names]
-        for schema in topological_order(schemas):
-            self.on_create_table(schema)
-        for name in db.table_names:
-            table = db.table(name)
-            for row in table.rows():
-                self.on_mutation(
-                    Mutation(OP_INSERT, name, table.schema.pk_tuple(row), row)
-                )
-
-    # -- persistence hooks --------------------------------------------------
-    @abc.abstractmethod
-    def restore_into(self, db: "Database") -> bool:
-        """Rebuild persisted state into the empty ``db``; returns whether
-        any persisted state existed.  Implementations must restore exact
-        ``Table.version`` counters and row insertion order."""
-
-    @abc.abstractmethod
-    def on_create_table(self, schema: "TableSchema") -> None:
-        """A table entered the catalogue (version counter restarts at 0)."""
-
-    @abc.abstractmethod
-    def on_drop_table(self, name: str) -> None:
-        """A table left the catalogue."""
-
-    @abc.abstractmethod
-    def on_mutation(self, mutation: Mutation) -> None:
-        """One physical row mutation was applied (one version bump)."""
-
-    # -- lifecycle ----------------------------------------------------------
-    def flush(self) -> None:
-        """Push buffered records to the OS (durability point)."""
-
-    def close(self) -> None:
-        """Flush and release resources; the backend is unusable after."""
-
-    def describe(self) -> dict[str, Any]:
-        """Small structural summary for observability surfaces."""
-        return {"backend": self.name}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__} {self.describe()!r}>"
-
-
-class MemoryBackend(StorageBackend):
-    """The null backend: in-memory only, nothing survives the process.
-
-    Exists so code can be written uniformly against the backend interface
-    (``open_database(backend="memory")``) and as the semantic baseline the
-    durable backends are diffed against in the backend-diff oracle.
-    """
-
-    name = "memory"
-
-    def restore_into(self, db: "Database") -> bool:
-        return False
-
-    def on_create_table(self, schema: "TableSchema") -> None:
-        pass
-
-    def on_drop_table(self, name: str) -> None:
-        pass
-
-    def on_mutation(self, mutation: Mutation) -> None:
-        pass

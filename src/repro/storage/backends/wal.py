@@ -26,6 +26,10 @@ snapshot is fully written under ``snapshot.tmp`` before any rename, the
 previous snapshot survives as ``snapshot.old`` until the new one is in
 place, and the LSN filter makes replaying a not-yet-truncated log over a
 new snapshot a no-op.
+
+Attaching to a database that already holds tables (and a directory that
+holds no state yet) *adopts* it: the first compaction writes the live
+rows, insertion order and ``Table.version`` counters as the snapshot.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.storage.backends.base import Mutation, StorageBackend
+from repro.storage.backends.base import Mutation
 from repro.storage.errors import StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -51,8 +55,9 @@ _SNAPSHOT_TMP = "snapshot.tmp"
 _SNAPSHOT_OLD = "snapshot.old"
 
 
-class WalBackend(StorageBackend):
-    """Append-per-mutation JSONL log with snapshot compaction.
+class WalBackend:
+    """Durability mirror of one :class:`~repro.storage.database.Database`:
+    an append-per-mutation JSONL log with snapshot compaction.
 
     ``compact_every`` bounds the log length (and therefore recovery time);
     ``fsync=True`` additionally fsyncs after every record for
@@ -75,6 +80,7 @@ class WalBackend(StorageBackend):
         self.root = Path(directory)
         self.compact_every = compact_every
         self.fsync = fsync
+        self._db: "Database | None" = None
         self._lsn = 0
         self._records_since_compact = 0
         self._fh = None
@@ -99,8 +105,26 @@ class WalBackend(StorageBackend):
                 encoding="utf-8",
             )
 
+    # -- attach handshake ---------------------------------------------------
+    def attach(self, db: "Database") -> bool:
+        """Bind to ``db``: restore persisted state into it, or adopt its
+        current contents when the directory holds no state yet.
+
+        Returns ``True`` when persisted state was restored.  Called by
+        :meth:`Database.attach_backend`, which wires the mutation sinks
+        *afterwards* so nothing done here is re-logged.
+        """
+        self._db = db
+        restored = self.restore_into(db)
+        if not restored and db.table_names:
+            self.compact()
+        return restored
+
     # -- recovery -----------------------------------------------------------
     def restore_into(self, db: "Database") -> bool:
+        """Rebuild persisted state into the empty ``db``; returns whether
+        any persisted state existed.  Restores exact ``Table.version``
+        counters and row insertion order."""
         from repro.storage.persistence import schema_from_dict, topological_order
 
         snapshot_dir = self._usable_snapshot()
@@ -132,8 +156,9 @@ class WalBackend(StorageBackend):
                 # moment the snapshot was cut (replayed records bump from
                 # here, one bump per record, like the original mutations).
                 table.version = versions[name]
-        self._lsn = max(snapshot_lsn, self._replay_wal(db, wal_path, snapshot_lsn))
-        self._records_since_compact = self._count_live_records(wal_path, snapshot_lsn)
+        self._lsn, self._records_since_compact = self._replay_wal(
+            db, wal_path, snapshot_lsn
+        )
         self._fh = wal_path.open("a", encoding="utf-8")
         return had_state
 
@@ -145,12 +170,16 @@ class WalBackend(StorageBackend):
                 return path
         return None
 
-    def _replay_wal(self, db: "Database", wal_path: Path, skip_upto: int) -> int:
+    def _replay_wal(
+        self, db: "Database", wal_path: Path, skip_upto: int
+    ) -> tuple[int, int]:
         """Apply complete records with ``lsn > skip_upto``; truncate a torn
-        tail.  Returns the last applied (or seen) LSN."""
+        tail.  Returns the last applied LSN (``skip_upto`` when none was)
+        and the number of records applied."""
         if not wal_path.exists():
-            return skip_upto
+            return skip_upto, 0
         last_lsn = skip_upto
+        applied = 0
         good_end = 0
         with wal_path.open("rb") as handle:
             for raw in handle:
@@ -162,24 +191,14 @@ class WalBackend(StorageBackend):
                     if lsn > skip_upto:
                         self._apply(db, record)
                         last_lsn = lsn
+                        applied += 1
                     good_end += len(raw)
                 except (ValueError, KeyError, TypeError):
                     break  # torn or corrupt record: keep the committed prefix
         if good_end < wal_path.stat().st_size:
             with wal_path.open("rb+") as handle:
                 handle.truncate(good_end)
-        return last_lsn
-
-    def _count_live_records(self, wal_path: Path, snapshot_lsn: int) -> int:
-        if not wal_path.exists():
-            return 0
-        count = 0
-        with wal_path.open("rb") as handle:
-            for raw in handle:
-                record = json.loads(raw.decode("utf-8"))
-                if int(record["lsn"]) > snapshot_lsn:
-                    count += 1
-        return count
+        return last_lsn, applied
 
     @staticmethod
     def _apply(db: "Database", record: dict[str, Any]) -> None:
@@ -286,12 +305,14 @@ class WalBackend(StorageBackend):
 
     # -- lifecycle ----------------------------------------------------------
     def flush(self) -> None:
+        """Push buffered records to the OS (durability point)."""
         if self._fh is not None:
             self._fh.flush()
             if self.fsync:
                 os.fsync(self._fh.fileno())
 
     def close(self) -> None:
+        """Flush, fsync and release the log; the backend is unusable after."""
         if self._closed:
             return
         self._closed = True
@@ -302,6 +323,7 @@ class WalBackend(StorageBackend):
             self._fh = None
 
     def describe(self) -> dict[str, Any]:
+        """Small structural summary for observability surfaces."""
         return {
             "backend": self.name,
             "directory": str(self.root),

@@ -5,17 +5,17 @@ Responsibilities beyond what :class:`~repro.storage.table.Table` provides:
 * table lifecycle (create / drop / lookup),
 * foreign-key enforcement on insert, update and delete,
 * undo-log transactions (see :mod:`repro.storage.transactions`),
-* durability through an attached :class:`~repro.storage.backends.base.StorageBackend`
+* durability through an attached :class:`~repro.storage.backends.wal.WalBackend`
   (see :mod:`repro.storage.backends`): every physical mutation streams to
-  the backend, and :func:`~repro.storage.backends.open_database` rebuilds
-  an identical database — rows, versions, insertion order — on restart.
+  the write-ahead log, and :func:`~repro.storage.backends.open_database`
+  rebuilds an identical database — rows, versions, insertion order — on
+  restart.  Without a backend the database lives in memory only.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.storage.backends.base import StorageBackend
 from repro.storage.cache import QueryCache
 from repro.storage.errors import (
     ForeignKeyError,
@@ -27,23 +27,26 @@ from repro.storage.errors import (
 from repro.storage.schema import TableSchema
 from repro.storage.table import Table
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.backends.wal import WalBackend
+
 
 class Database:
     """A named collection of tables with referential integrity."""
 
-    def __init__(self, backend: StorageBackend | None = None) -> None:
+    def __init__(self, backend: "WalBackend | None" = None) -> None:
         self._tables: dict[str, Table] = {}
         self._undo_log_stack: list[list[Callable[[], None]]] = []
         #: Shared result cache for the serving path; entries self-invalidate
         #: via table versions (see :mod:`repro.storage.cache`).
         self.query_cache = QueryCache()
         #: Durability mirror, wired by :meth:`attach_backend`.
-        self.backend: StorageBackend | None = None
+        self.backend: WalBackend | None = None
         if backend is not None:
             self.attach_backend(backend)
 
     # -- durability backend ------------------------------------------------------
-    def attach_backend(self, backend: StorageBackend) -> bool:
+    def attach_backend(self, backend: "WalBackend") -> bool:
         """Wire ``backend`` as this database's durability mirror.
 
         The backend either restores its persisted state into this (empty)

@@ -1,24 +1,25 @@
-"""Durable snapshots: JSON catalogue plus JSON-lines row files.
+"""Catalogue serialisation and the canonical dump.
 
-Layout of a saved database directory::
-
-    <dir>/catalog.json          # schemas of every table
-    <dir>/<table>.jsonl         # one JSON object per row
-
-The format is line-oriented so large task pools stream without building one
-giant document, and diff-friendly for experiment artefacts.
+:func:`schema_to_dict` / :func:`schema_from_dict` are the JSON form of a
+table schema, used by the WAL backend's snapshot catalogue and its
+``create_table`` records; :func:`topological_order` orders a restored
+catalogue so every foreign-key target exists before its referrer; and
+:func:`dump_canonical` is the byte-equality yardstick every durability
+test compares against.  The on-disk layout itself belongs to
+:mod:`repro.storage.backends.wal`.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.storage.database import Database
-from repro.storage.errors import SchemaError, StorageError
+from repro.storage.errors import SchemaError
 from repro.storage.schema import NO_DEFAULT, Column, ForeignKey, TableSchema
 from repro.storage.types import ColumnType
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.database import Database
 
 _FORMAT_VERSION = 1
 
@@ -77,71 +78,6 @@ def schema_from_dict(payload: dict[str, Any]) -> TableSchema:
     )
 
 
-def save_database(db: Database, directory: str | Path) -> Path:
-    """Write ``db`` under ``directory`` (created if needed); returns the path."""
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    tables = []
-    for name in db.table_names:
-        entry = schema_to_dict(db.table(name).schema)
-        # Persist the monotone data version so a reloaded table can never
-        # alias a pre-save version (see the bump-on-load in load_database).
-        entry["version"] = db.table(name).version
-        tables.append(entry)
-    catalog = {
-        "format_version": _FORMAT_VERSION,
-        "tables": tables,
-    }
-    (root / "catalog.json").write_text(json.dumps(catalog, indent=2, sort_keys=True))
-    for name in db.table_names:
-        table = db.table(name)
-        with (root / f"{name}.jsonl").open("w", encoding="utf-8") as handle:
-            for row in table.rows():
-                handle.write(json.dumps(row, sort_keys=True))
-                handle.write("\n")
-    return root
-
-
-def load_database(directory: str | Path) -> Database:
-    """Load a database previously written by :func:`save_database`.
-
-    Tables are created in an order that satisfies foreign-key dependencies;
-    cyclic FK graphs are rejected.
-    """
-    root = Path(directory)
-    catalog_path = root / "catalog.json"
-    if not catalog_path.exists():
-        raise StorageError(f"no catalog.json under {root}")
-    catalog = json.loads(catalog_path.read_text())
-    if catalog.get("format_version") != _FORMAT_VERSION:
-        raise StorageError(
-            f"unsupported snapshot version: {catalog.get('format_version')!r}"
-        )
-    schemas = [schema_from_dict(entry) for entry in catalog["tables"]]
-    saved_versions = {
-        entry["name"]: int(entry.get("version", 0)) for entry in catalog["tables"]
-    }
-    ordered = topological_order(schemas)
-    db = Database()
-    for schema in ordered:
-        db.create_table(schema)
-    for schema in ordered:
-        rows_path = root / f"{schema.name}.jsonl"
-        if rows_path.exists():
-            with rows_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        db.insert(schema.name, json.loads(line))
-        # Bump past the saved version: a freshly loaded table must never
-        # re-issue a version number the saved history already used, or a
-        # consumer comparing versions across the save/load boundary (e.g. a
-        # query-cache entry) could mistake reloaded data for an older state.
-        table = db.table(schema.name)
-        table.version = max(table.version, saved_versions.get(schema.name, 0) + 1)
-    return db
-
-
 def topological_order(schemas: list[TableSchema]) -> list[TableSchema]:
     """Order schemas so every FK target precedes its referrer."""
     by_name = {schema.name: schema for schema in schemas}
@@ -166,7 +102,7 @@ def topological_order(schemas: list[TableSchema]) -> list[TableSchema]:
     return ordered
 
 
-def dump_canonical(db: Database) -> bytes:
+def dump_canonical(db: "Database") -> bytes:
     """Serialise the whole database to canonical, order-independent bytes.
 
     Two databases holding the same schemas, rows and ``Table.version``
@@ -189,23 +125,3 @@ def dump_canonical(db: Database) -> bytes:
         tables.append(entry)
     payload = {"format_version": _FORMAT_VERSION, "tables": tables}
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def export_table_csv(db: Database, table_name: str, path: str | Path) -> Path:
-    """Export one table to CSV (JSON-encoded cells for complex values)."""
-    import csv
-
-    table = db.table(table_name)
-    target = Path(path)
-    with target.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        names = table.schema.column_names
-        writer.writerow(names)
-        for row in table.rows():
-            writer.writerow(
-                [
-                    json.dumps(row[c]) if isinstance(row[c], (dict, list)) else row[c]
-                    for c in names
-                ]
-            )
-    return target

@@ -142,11 +142,7 @@ class TableSchema:
 
 @dataclass(frozen=True)
 class SchemaDiff:
-    """Difference between two schemas with the same table name.
-
-    Used by :func:`repro.storage.persistence.load_database` to validate that
-    a saved catalogue matches the code's expectations.
-    """
+    """Difference between two schemas with the same table name."""
 
     added_columns: tuple[str, ...] = ()
     removed_columns: tuple[str, ...] = ()

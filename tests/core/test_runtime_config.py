@@ -21,6 +21,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown backend"):
             RuntimeConfig(backend="etcd", path="/tmp/x")
 
+    def test_sqlite_backend_removed(self, tmp_path):
+        # The WAL is the one durable backend.
+        with pytest.raises(ValueError, match="unknown backend"):
+            RuntimeConfig(backend="sqlite", path=tmp_path / "d.sqlite")
+
+    def test_memory_backend_attaches_nothing(self):
+        assert RuntimeConfig().build_database().backend is None
+
     def test_durable_backend_requires_path(self):
         with pytest.raises(ValueError, match="requires a path"):
             RuntimeConfig(backend="wal")
@@ -116,7 +124,7 @@ class TestCrowd4UShim:
     def test_durable_config_platform_restores(self, tmp_path):
         from repro.storage import dump_canonical
 
-        config = RuntimeConfig(backend="sqlite", path=tmp_path / "d.sqlite")
+        config = RuntimeConfig(backend="wal", path=tmp_path / "d")
         platform = Crowd4U(seed=2, config=config)
         platform.register_worker("ann", self._factors())
         state = dump_canonical(platform.db)

@@ -53,6 +53,12 @@ def _drive(engine: SemiNaiveEngine) -> list[dict]:
     return snapshots
 
 
+def _counted_supports(engine: SemiNaiveEngine) -> int:
+    """The support count recomputed from the index's entries, independent
+    of the running size the budget trusts."""
+    return sum(len(keys) for keys in engine._supports._supports.values())
+
+
 class TestSupportIndexBudget:
     def test_admission_cap_and_degradation(self):
         index = SupportIndex(budget=2)
@@ -98,6 +104,10 @@ class TestBudgetedEngineLockstep:
         assert reference.stats.stratum_recomputes == 0
         # The invariant the budget exists for: bounded provenance.
         assert len(budgeted._supports) <= 3
+        # The running size stays exact through the add/retract stream.
+        for engine in (reference, budgeted):
+            assert len(engine._supports) == _counted_supports(engine)
+        assert len(reference._supports) > 3
 
     def test_zero_budget_disables_provenance_entirely(self):
         program = parse_program(_PROGRAM)
@@ -126,8 +136,16 @@ class TestBudgetedEngineLockstep:
             shard_config=ShardConfig(shards=4, interval=False),
             support_budget=3,
         )
-        assert _drive(reference) == _drive(budgeted)
+        sharded = SemiNaiveEngine(
+            program, shard_config=ShardConfig(shards=4, interval=False)
+        )
+        expected = _drive(reference)
+        assert _drive(budgeted) == expected
         assert budgeted.stats.supports_evicted > 0
+        assert _drive(sharded) == expected
+        for engine in (sharded, budgeted):
+            assert type(engine._supports).__name__ == "ShardedSupportIndex"
+            assert len(engine._supports) == _counted_supports(engine)
 
     def test_full_run_resets_index_but_not_cumulative_evictions(self):
         program = parse_program(_PROGRAM)

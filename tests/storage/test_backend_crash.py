@@ -1,13 +1,13 @@
 """Kill-and-recover: a hard process death must lose nothing committed.
 
-A child process opens a durable database, applies a mutation stream,
+A child process opens a WAL-backed database, applies a mutation stream,
 dumps the canonical state it reached, and dies via ``os._exit`` — no
 ``close()``, no atexit handlers, no flush beyond what each mutation
 already guarantees.  The parent then recovers and asserts byte-for-byte
 equality with the child's last committed state, including the
 ``Table.version`` counters.
 
-For the WAL backend the test additionally simulates dying *mid-append*:
+The tests additionally simulate dying *mid-append*:
 the bytes of a half-written record are tacked onto the log (exactly what
 a kill between ``write`` and the trailing newline leaves behind), and
 recovery must truncate it away and restore the committed prefix.
@@ -70,7 +70,7 @@ def _crash_child(target: Path, backend: str, dump: Path) -> None:
     assert dump.exists(), proc.stderr
 
 
-@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["wal"])
 def test_hard_kill_recovers_committed_state(tmp_path, backend):
     target = tmp_path / f"crash-{backend}"
     dump = tmp_path / "committed.bin"

@@ -1,13 +1,13 @@
-"""Randomized differential check of the durable storage backends.
+"""Randomized differential check of the durable storage backend.
 
-Three databases — in-memory, WAL-backed and SQLite-backed — receive the
-*same* randomized mutation stream: inserts, updates (including
-primary-key moves), deletes, truncates, transactions that commit or roll
-back, table creation/drop and (for the durable pair) mid-stream
-close-and-reopen "restarts".  After every scenario the canonical dump —
-schemas, rows, insertion order *and* ``Table.version`` counters — must
-be byte-identical across all three, and reopening the durable databases
-one final time must reproduce the same bytes again.
+Two databases — in-memory and WAL-backed — receive the *same* randomized
+mutation stream: inserts, updates (including primary-key moves),
+deletes, truncates, transactions that commit or roll back, table
+creation/drop and (for the WAL side) mid-stream close-and-reopen
+"restarts".  After every scenario the canonical dump — schemas, rows,
+insertion order *and* ``Table.version`` counters — must be
+byte-identical across both, and reopening the WAL database one final
+time must reproduce the same bytes again.
 
 The CI ``backend-diff`` job runs this module with
 ``BACKEND_DIFF_EXAMPLES=40``, mirroring the engine/shard/platform diff
@@ -52,31 +52,24 @@ def _schema(name: str) -> TableSchema:
 
 
 class _Lockstep:
-    """The three databases under test, mutated in lockstep."""
+    """The two databases under test, mutated in lockstep."""
 
     def __init__(self, tmp_path):
         self.wal_dir = tmp_path / "wal"
-        self.sqlite_path = tmp_path / "db.sqlite"
         self.mem = Database()
-        self.wal = open_database(
-            self.wal_dir, backend="wal", compact_every=37
-        )
-        self.sqlite = open_database(self.sqlite_path, backend="sqlite")
+        self.wal = open_database(self.wal_dir, backend="wal", compact_every=37)
 
     @property
     def all(self):
-        return (self.mem, self.wal, self.sqlite)
+        return (self.mem, self.wal)
 
     def reopen_durable(self):
-        """Simulate a clean restart of both durable databases."""
+        """Simulate a clean restart of the durable database."""
         self.wal.close()
-        self.sqlite.close()
         self.wal = open_database(self.wal_dir, backend="wal", compact_every=37)
-        self.sqlite = open_database(self.sqlite_path, backend="sqlite")
 
     def close(self):
         self.wal.close()
-        self.sqlite.close()
 
 
 def _apply_random_op(rng: random.Random, dbs: _Lockstep, tables: list[str]) -> None:
@@ -160,23 +153,19 @@ def test_backends_byte_identical_under_random_streams(tmp_path, seed):
     for step in range(OPS_PER_SCENARIO):
         _apply_random_op(rng, dbs, tables)
         if step % 30 == 29:
-            reference = dump_canonical(dbs.mem)
-            assert dump_canonical(dbs.wal) == reference
-            assert dump_canonical(dbs.sqlite) == reference
+            assert dump_canonical(dbs.wal) == dump_canonical(dbs.mem)
     reference = dump_canonical(dbs.mem)
     assert dump_canonical(dbs.wal) == reference
-    assert dump_canonical(dbs.sqlite) == reference
     # One final restart: recovery must reproduce the same bytes again.
     dbs.reopen_durable()
     assert dump_canonical(dbs.wal) == reference
-    assert dump_canonical(dbs.sqlite) == reference
     dbs.close()
 
 
-@pytest.mark.parametrize("backend", ["wal", "sqlite"])
+@pytest.mark.parametrize("backend", ["wal"])
 def test_platform_scenario_round_trips(tmp_path, backend):
     """A real platform session — workers, a project, a full round — must
-    survive a restart byte-for-byte on either durable backend."""
+    survive a restart byte-for-byte on the durable backend."""
     from repro.core import Crowd4U, HumanFactors
 
     target = tmp_path / f"platform-{backend}"

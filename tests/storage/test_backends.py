@@ -1,5 +1,5 @@
-"""Storage-backend contract: attach/adopt/restore, WAL mechanics, SQLite
-mirrors and listings, and the ``open_database`` entry point."""
+"""Storage-backend contract: attach/adopt/restore, WAL mechanics and the
+``open_database`` entry point."""
 
 from __future__ import annotations
 
@@ -12,15 +12,12 @@ from repro.storage import (
     ColumnType,
     Database,
     ForeignKey,
-    MemoryBackend,
     SchemaError,
-    StorageBackend,
     TableSchema,
     dump_canonical,
     open_database,
 )
-from repro.storage.backends import BACKENDS, SqliteBackend, WalBackend, backend_class
-from repro.storage.backends.sqlite import ListingSpec
+from repro.storage.backends import WalBackend
 from repro.storage.errors import StorageError
 
 
@@ -74,31 +71,29 @@ def _drive(db: Database) -> None:
 
 
 class TestRegistry:
-    def test_every_registered_backend_resolves(self):
-        for name in BACKENDS:
-            assert issubclass(backend_class(name), StorageBackend)
+    """The backend names ``open_database`` accepts: ``memory`` and ``wal``."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            backend_class("etcd")
-        with pytest.raises(StorageError, match="unknown storage backend"):
-            open_database("/tmp/x", backend="etcd")
+    def test_every_registered_backend_resolves(self, tmp_path):
+        memory = open_database()
+        assert memory.backend is None  # in memory: no backend attached
+        wal = open_database(tmp_path / "d", backend="wal")
+        assert isinstance(wal.backend, WalBackend)
+        wal.close()
+
+    def test_unknown_backend_rejected(self, tmp_path):
+        for name in ("etcd", "sqlite"):
+            with pytest.raises(StorageError, match="unknown storage backend"):
+                open_database(tmp_path / "x", backend=name)
 
     def test_memory_backend_takes_no_path(self, tmp_path):
         with pytest.raises(StorageError, match="no path"):
             open_database(tmp_path / "x", backend="memory")
+        with pytest.raises(StorageError, match="no path or options"):
+            open_database(backend="memory", compact_every=3)
 
     def test_durable_backends_require_path(self):
-        for name in ("wal", "sqlite"):
-            with pytest.raises(StorageError, match="requires a path"):
-                open_database(backend=name)
-
-    def test_backend_instance_passthrough(self, tmp_path):
-        db = open_database(backend=WalBackend(tmp_path / "d"))
-        assert db.backend.name == "wal"
-        db.close()
-        with pytest.raises(StorageError, match="backend constructor"):
-            open_database(tmp_path / "y", backend=MemoryBackend())
+        with pytest.raises(StorageError, match="requires a path"):
+            open_database(backend="wal")
 
 
 class TestAttachHandshake:
@@ -115,28 +110,23 @@ class TestAttachHandshake:
             db.attach_backend(WalBackend(tmp_path / "a"))
         db.rollback()
 
-    @pytest.mark.parametrize("name", ["wal", "sqlite"])
+    @pytest.mark.parametrize("name", ["wal"])
     def test_adopt_bootstraps_persistence(self, tmp_path, name):
         # A populated in-memory database gains durability after the fact:
-        # attaching a fresh backend adopts the current contents.
+        # attaching a fresh backend adopts the current contents as its
+        # first snapshot — rows, insertion order and version counters.
         db = Database()
         _drive(db)
         target = tmp_path / "adopted"
-        db.attach_backend(backend_class(name)(target))
-
-        def rows_by_pk(d: Database) -> dict[str, list]:
-            return {
-                n: sorted(d.table(n).rows(), key=lambda r: repr(tuple(r.values())))
-                for n in d.table_names
-            }
-
-        expected = rows_by_pk(db)
+        db.attach_backend(WalBackend(target))
+        db.insert("worker", {"id": "late", "skill": 0.2})  # logged after adoption
+        reference = dump_canonical(db)
+        order = list(db.table("relationship")._rows)
         db.close()
         reopened = open_database(target, backend=name)
-        # Adoption replays current rows only, not the full mutation
-        # history, so versions restart — rows and schemas must match.
-        assert rows_by_pk(reopened) == expected
-        assert reopened.counts() == {"worker": 8, "relationship": 7}
+        assert dump_canonical(reopened) == reference
+        assert list(reopened.table("relationship")._rows) == order
+        assert reopened.counts() == {"worker": 9, "relationship": 7}
         reopened.close()
 
     def test_restore_into_populated_database_rejected(self, tmp_path):
@@ -229,84 +219,67 @@ class TestWalBackend:
         with pytest.raises(StorageError, match="compact_every"):
             WalBackend(tmp_path / "d", compact_every=0)
 
-
-class TestSqliteBackend:
-    def test_round_trip_restores_versions_and_order(self, tmp_path):
-        db = open_database(tmp_path / "d.sqlite", backend="sqlite")
-        _drive(db)
-        reference = dump_canonical(db)
-        order = list(db.table("relationship")._rows)
-        db.close()
-        reopened = open_database(tmp_path / "d.sqlite", backend="sqlite")
-        assert dump_canonical(reopened) == reference
-        assert list(reopened.table("relationship")._rows) == order
-        reopened.close()
-
     def test_replace_moves_row_to_end_like_dict_reinsert(self, tmp_path):
         mem = Database()
-        db = open_database(tmp_path / "d.sqlite", backend="sqlite")
+        db = open_database(tmp_path / "d", backend="wal")
         for d in (mem, db):
             d.create_table(_worker_schema())
             for i in range(4):
                 d.insert("worker", {"id": f"w{i}", "skill": 0.1})
             d.update("worker", ("w1",), {"skill": 0.9})
+            d.update("worker", ("w2",), {"id": "w9"})  # primary-key move
         db.close()
-        reopened = open_database(tmp_path / "d.sqlite", backend="sqlite")
+        reopened = open_database(tmp_path / "d", backend="wal")
         assert list(reopened.table("worker")._rows) == list(mem.table("worker")._rows)
         reopened.close()
 
-    def test_worker_page_listing_is_maintained(self, tmp_path):
-        db = open_database(tmp_path / "d.sqlite", backend="sqlite")
+
+def _records_since_compact(target) -> int:
+    db = open_database(target, backend="wal")
+    count = db.backend.describe()["records_since_compact"]
+    db.close()
+    return count
+
+
+class TestRecordsSinceCompact:
+    """Recovery counts the log records it replays: after a reopen,
+    ``records_since_compact`` equals the records written since the last
+    compaction, so the auto-compaction cadence survives restarts."""
+
+    def test_without_snapshot(self, tmp_path):
+        db = open_database(tmp_path / "d", backend="wal")
         _drive(db)
-        listing = db.backend.query_listing("worker_page", "w1")
-        assert listing == [
-            {"worker_id": "w1", "task_id": "t1", "status": "undertakes"}
-        ]
-        assert db.backend.query_listing("worker_page", "w2") == []  # deleted
-        db.delete("relationship", ("w1", "t1"))
-        assert db.backend.query_listing("worker_page", "w1") == []
+        written = db.backend.describe()["records_since_compact"]
+        assert written == len((tmp_path / "d" / "wal.jsonl").read_text().splitlines())
         db.close()
+        assert not (tmp_path / "d" / "snapshot").exists()
+        assert _records_since_compact(tmp_path / "d") == written
 
-    def test_unknown_listing_rejected(self, tmp_path):
-        db = open_database(tmp_path / "d.sqlite", backend="sqlite")
-        with pytest.raises(StorageError, match="no materialized listing"):
-            db.backend.query_listing("nope", "w1")
-        db.close()
-
-    def test_listing_key_must_be_projected(self):
-        with pytest.raises(StorageError, match="must be one of"):
-            ListingSpec(name="bad", source="t", key="x", columns=("y",))
-
-    def test_custom_listing(self, tmp_path):
-        spec = ListingSpec(
-            name="by_status",
-            source="relationship",
-            key="status",
-            columns=("status", "worker_id"),
-        )
-        db = open_database(
-            tmp_path / "d.sqlite", backend="sqlite", listings=(spec,)
-        )
+    def test_with_snapshot(self, tmp_path):
+        db = open_database(tmp_path / "d", backend="wal")
         _drive(db)
-        rows = db.backend.query_listing("by_status", "undertakes")
-        assert rows == [{"status": "undertakes", "worker_id": "w1"}]
+        db.backend.compact()
+        db.insert("worker", {"id": "a", "skill": 0.1})
+        db.update("worker", ("a",), {"skill": 0.2})
+        db.delete("worker", ("a",))
+        assert db.backend.describe()["records_since_compact"] == 3
         db.close()
+        assert _records_since_compact(tmp_path / "d") == 3
 
-    def test_marker_mismatch_rejected(self, tmp_path):
-        import sqlite3
-
-        path = tmp_path / "d.sqlite"
-        conn = sqlite3.connect(path)
-        conn.execute("CREATE TABLE _meta (key TEXT PRIMARY KEY, value TEXT)")
-        conn.execute("INSERT INTO _meta VALUES ('backend', 'other')")
-        conn.commit()
-        conn.close()
-        with pytest.raises(StorageError, match="not a sqlite-backend"):
-            SqliteBackend(path)
+    def test_after_torn_tail(self, tmp_path):
+        db = open_database(tmp_path / "d", backend="wal")
+        db.create_table(_worker_schema())
+        db.backend.compact()
+        db.insert("worker", {"id": "w0", "skill": 0.5})
+        db.insert("worker", {"id": "w1", "skill": 0.6})
+        db.close()
+        with (tmp_path / "d" / "wal.jsonl").open("a", encoding="utf-8") as handle:
+            handle.write('{"lsn": 99, "op": "insert", "t": "worker", "ro')
+        assert _records_since_compact(tmp_path / "d") == 2
 
 
 class TestFkOrderRestore:
-    @pytest.mark.parametrize("name", ["wal", "sqlite"])
+    @pytest.mark.parametrize("name", ["wal"])
     def test_fk_dependent_catalog_restores(self, tmp_path, name):
         # relationship references worker; restore must create worker first
         # even though catalogue iteration order could say otherwise.

@@ -1,4 +1,9 @@
-"""Snapshot persistence round-trips."""
+"""Snapshot round-trips through the WAL backend's on-disk form.
+
+Each test writes through a :class:`WalBackend`, compacts (so recovery
+reads the ``snapshot/`` catalogue and row files, not just the log),
+closes, and reopens.
+"""
 
 import json
 
@@ -10,16 +15,17 @@ from repro.storage import (
     Database,
     ForeignKey,
     TableSchema,
-    load_database,
-    save_database,
+    dump_canonical,
+    open_database,
 )
+from repro.storage.backends import WalBackend
 from repro.storage.errors import SchemaError, StorageError
-from repro.storage.persistence import export_table_csv
+from repro.storage.persistence import schema_from_dict, topological_order
 
 
 @pytest.fixture
 def populated(tmp_path):
-    db = Database()
+    db = Database(WalBackend(tmp_path / "snap"))
     db.create_table(TableSchema(
         "users",
         [Column("id", ColumnType.TEXT), Column("meta", ColumnType.JSON)],
@@ -33,116 +39,100 @@ def populated(tmp_path):
     ))
     db.insert("users", {"id": "u1", "meta": {"langs": ["en", "fr"]}})
     db.insert("posts", {"id": 1, "author": "u1"})
-    return db
+    db.backend.compact()
+    yield db
+    db.close()
+
+
+def _reopen(db: Database, tmp_path) -> Database:
+    db.close()
+    return open_database(tmp_path / "snap", backend="wal")
 
 
 class TestRoundTrip:
     def test_rows_survive(self, populated, tmp_path):
-        save_database(populated, tmp_path / "snap")
-        loaded = load_database(tmp_path / "snap")
-        assert loaded.counts() == populated.counts()
+        counts = populated.counts()
+        loaded = _reopen(populated, tmp_path)
+        assert loaded.counts() == counts
         assert loaded.table("users").get(("u1",))["meta"] == {"langs": ["en", "fr"]}
+        loaded.close()
 
     def test_schema_survives(self, populated, tmp_path):
-        save_database(populated, tmp_path / "snap")
-        loaded = load_database(tmp_path / "snap")
+        loaded = _reopen(populated, tmp_path)
         schema = loaded.table("posts").schema
         assert schema.foreign_keys[0].ref_table == "users"
         assert schema.column("id").type is ColumnType.INT
+        loaded.close()
 
     def test_fk_order_respected_on_load(self, populated, tmp_path):
-        # posts reference users; loading must create/insert users first even
-        # though 'posts' sorts before 'users' alphabetically.
-        save_database(populated, tmp_path / "snap")
-        loaded = load_database(tmp_path / "snap")
+        # posts reference users; restoring must create/insert users first
+        # even though 'posts' sorts before 'users' alphabetically.
+        reference = dump_canonical(populated)
+        loaded = _reopen(populated, tmp_path)
         assert len(loaded.table("posts")) == 1
-
-    def test_table_versions_bump_past_saved_history(self, populated, tmp_path):
-        """A reloaded table's version must exceed every version the saved
-        history ever used — otherwise a version-tagged consumer (the query
-        cache) could mistake reloaded data for an older state of the same
-        table."""
-        # Advance the version history well past the row count.
-        for index in range(5):
-            populated.insert("posts", {"id": 10 + index, "author": "u1"})
-            populated.delete("posts", (10 + index,))
-        version_at_save = populated.table("posts").version
-        save_database(populated, tmp_path / "snap")
-        loaded = load_database(tmp_path / "snap")
-        # The snapshot holds 1 post row; naive reload would restart at 1.
-        assert loaded.table("posts").version > version_at_save
+        assert dump_canonical(loaded) == reference
+        loaded.close()
 
     def test_save_mutate_load_cached_query(self, populated, tmp_path):
-        """save → mutate → load → cached query: the loaded database serves
-        the snapshot's rows, and its caching stays invalidation-correct
-        through further mutations."""
+        """snapshot → mutate → reopen → cached query: the recovered
+        database serves the snapshot's rows plus the logged mutation, and
+        its caching stays invalidation-correct through further mutations."""
         from repro.storage import col
 
-        save_database(populated, tmp_path / "snap")
-        populated.insert("posts", {"id": 2, "author": "u1"})  # post-save mutation
-        loaded = load_database(tmp_path / "snap")
+        populated.insert("posts", {"id": 2, "author": "u1"})  # post-snapshot
+        loaded = _reopen(populated, tmp_path)
         query = loaded.query("posts").where(col("author") == "u1").project("id")
-        assert [row["id"] for row in query.execute_cached()] == [1]
-        assert [row["id"] for row in query.execute_cached()] == [1]  # cache hit
+        assert sorted(row["id"] for row in query.execute_cached()) == [1, 2]
+        assert sorted(row["id"] for row in query.execute_cached()) == [1, 2]
         assert loaded.query_cache.stats.hits == 1
         loaded.insert("posts", {"id": 3, "author": "u1"})
         rows = sorted(row["id"] for row in query.execute_cached())
-        assert rows == [1, 3]  # the version bump invalidated the entry
+        assert rows == [1, 2, 3]  # the version bump invalidated the entry
+        loaded.close()
 
-    def test_legacy_snapshot_without_versions_loads(self, populated, tmp_path):
-        root = save_database(populated, tmp_path / "snap")
-        catalog = json.loads((root / "catalog.json").read_text())
-        for entry in catalog["tables"]:
-            entry.pop("version", None)
-        (root / "catalog.json").write_text(json.dumps(catalog))
-        loaded = load_database(root)
-        assert loaded.counts() == populated.counts()
-        assert loaded.table("users").version >= 1
-
-    def test_missing_catalog_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            load_database(tmp_path / "empty")
+    def test_snapshot_without_catalog_falls_back_to_old(self, populated, tmp_path):
+        # A crash between compaction's two renames leaves ``snapshot/``
+        # without a catalogue and the previous snapshot as
+        # ``snapshot.old``; recovery must use the old one plus the log.
+        populated.insert("posts", {"id": 2, "author": "u1"})
+        reference = dump_canonical(populated)
+        populated.close()
+        root = tmp_path / "snap"
+        (root / "snapshot").rename(root / "snapshot.old")
+        (root / "snapshot").mkdir()
+        loaded = open_database(root, backend="wal")
+        assert dump_canonical(loaded) == reference
+        loaded.close()
 
     def test_bad_version_rejected(self, populated, tmp_path):
-        root = save_database(populated, tmp_path / "snap")
-        catalog = json.loads((root / "catalog.json").read_text())
-        catalog["format_version"] = 999
-        (root / "catalog.json").write_text(json.dumps(catalog))
+        populated.close()
+        marker = tmp_path / "snap" / "backend.json"
+        info = json.loads(marker.read_text())
+        info["format_version"] = 999
+        marker.write_text(json.dumps(info))
         with pytest.raises(StorageError):
-            load_database(root)
+            open_database(tmp_path / "snap", backend="wal")
 
-    def test_cyclic_fk_rejected_on_load(self, tmp_path):
-        root = tmp_path / "snap"
-        root.mkdir()
-        catalog = {
-            "format_version": 1,
-            "tables": [
-                {
-                    "name": "a",
-                    "columns": [{"name": "id", "type": "int"},
-                                {"name": "b_ref", "type": "int"}],
-                    "primary_key": ["id"],
-                    "unique": [],
-                    "foreign_keys": [{"columns": ["b_ref"], "ref_table": "b",
-                                      "ref_columns": ["id"]}],
-                },
-                {
-                    "name": "b",
-                    "columns": [{"name": "id", "type": "int"},
-                                {"name": "a_ref", "type": "int"}],
-                    "primary_key": ["id"],
-                    "unique": [],
-                    "foreign_keys": [{"columns": ["a_ref"], "ref_table": "a",
-                                      "ref_columns": ["id"]}],
-                },
-            ],
-        }
-        (root / "catalog.json").write_text(json.dumps(catalog))
+    def test_cyclic_fk_rejected_on_load(self):
+        catalog = [
+            {
+                "name": "a",
+                "columns": [{"name": "id", "type": "int"},
+                            {"name": "b_ref", "type": "int"}],
+                "primary_key": ["id"],
+                "unique": [],
+                "foreign_keys": [{"columns": ["b_ref"], "ref_table": "b",
+                                  "ref_columns": ["id"]}],
+            },
+            {
+                "name": "b",
+                "columns": [{"name": "id", "type": "int"},
+                            {"name": "a_ref", "type": "int"}],
+                "primary_key": ["id"],
+                "unique": [],
+                "foreign_keys": [{"columns": ["a_ref"], "ref_table": "a",
+                                  "ref_columns": ["id"]}],
+            },
+        ]
         with pytest.raises(SchemaError):
-            load_database(root)
-
-    def test_csv_export(self, populated, tmp_path):
-        target = export_table_csv(populated, "users", tmp_path / "users.csv")
-        content = target.read_text()
-        assert content.splitlines()[0] == "id,meta"
-        assert "u1" in content
+            topological_order([schema_from_dict(entry) for entry in catalog])

@@ -28,13 +28,11 @@ EXPECTED_STORAGE_ALL = {
     "Expr",
     "ForeignKey",
     "ForeignKeyError",
-    "MemoryBackend",
     "Mutation",
     "NotNullViolation",
     "Query",
     "QueryCache",
     "SchemaError",
-    "StorageBackend",
     "Table",
     "TableSchema",
     "TypeMismatchError",
@@ -43,9 +41,7 @@ EXPECTED_STORAGE_ALL = {
     "col",
     "dump_canonical",
     "lit",
-    "load_database",
     "open_database",
-    "save_database",
 }
 
 EXPECTED_SERVING_ALL = {
@@ -61,11 +57,7 @@ EXPECTED_SERVING_ALL = {
 }
 
 EXPECTED_BACKENDS_ALL = {
-    "ListingSpec",
-    "MemoryBackend",
     "Mutation",
-    "SqliteBackend",
-    "StorageBackend",
     "WalBackend",
     "open_database",
 }
@@ -113,7 +105,6 @@ def test_every_export_resolves():
     for name in storage.__all__:
         assert getattr(storage, name) is not None
     for name in backends.__all__:
-        # Exercises the lazy PEP 562 path for WalBackend/SqliteBackend too.
         assert getattr(backends, name) is not None
 
 

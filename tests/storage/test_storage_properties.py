@@ -10,8 +10,8 @@ from repro.storage import (
     ColumnType,
     Database,
     TableSchema,
-    load_database,
-    save_database,
+    dump_canonical,
+    open_database,
 )
 from repro.storage.table import Table
 
@@ -98,19 +98,24 @@ def test_index_agrees_with_scan(ops):
 )
 @settings(max_examples=40, deadline=None)
 def test_persistence_roundtrip(rows):
-    """save → load preserves every row and every type."""
+    """WAL snapshot → reopen preserves every row and every type."""
+    import shutil
     import tempfile
 
-    db = Database()
-    db.create_table(_schema())
-    for row_id, name, score in rows:
-        db.insert("t", {"id": row_id, "name": name, "score": score})
     target = tempfile.mkdtemp(prefix="repro-snap-")
-    save_database(db, target)
-    loaded = load_database(target)
-    original = sorted(db.table("t").rows(), key=lambda r: r["id"])
-    restored = sorted(loaded.table("t").rows(), key=lambda r: r["id"])
-    assert original == restored
+    try:
+        db = open_database(target, backend="wal")
+        db.create_table(_schema())
+        for row_id, name, score in rows:
+            db.insert("t", {"id": row_id, "name": name, "score": score})
+        db.backend.compact()
+        reference = dump_canonical(db)
+        db.close()
+        loaded = open_database(target, backend="wal")
+        assert dump_canonical(loaded) == reference
+        loaded.close()
+    finally:
+        shutil.rmtree(target)
 
 
 @given(operations)

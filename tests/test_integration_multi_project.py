@@ -20,7 +20,8 @@ from repro.apps.translation import (
 )
 from repro.core.tasks import TaskKind
 from repro.sim import SimulationDriver
-from repro.storage import load_database, save_database
+from repro.storage import dump_canonical, open_database
+from repro.storage.backends import WalBackend
 
 
 @pytest.fixture(scope="module")
@@ -88,21 +89,18 @@ class TestConcurrentProjects:
         assert platform.events.count("task.completed") == report.team_results
         assert platform.events.count("team.proposed") >= report.team_results
 
-    def test_platform_state_survives_persistence(self, deployment, tmp_path):
-        platform, _, _ = deployment
-        save_database(platform.db, tmp_path / "snapshot")
-        restored = load_database(tmp_path / "snapshot")
-        assert restored.counts() == platform.db.counts()
-        # every persisted team result row is intact
-        original = sorted(
-            (r["id"] for r in platform.db.table("team_result").rows())
-        )
-        loaded = sorted(
-            (r["id"] for r in restored.table("team_result").rows())
-        )
-        assert original == loaded
-
     def test_affinity_learning_occurred(self, deployment):
         platform, _, report = deployment
         assert report.team_results > 0
         assert len(platform.affinity) > 0
+
+    def test_platform_state_survives_persistence(self, deployment, tmp_path):
+        # Last in the module: attaching a backend is permanent, and the
+        # shared deployment's database is closed afterwards.
+        platform, _, _ = deployment
+        state = dump_canonical(platform.db)
+        platform.db.attach_backend(WalBackend(tmp_path / "wal"))  # adopt
+        platform.db.close()
+        restored = open_database(tmp_path / "wal", backend="wal")
+        assert dump_canonical(restored) == state
+        restored.close()
