@@ -13,10 +13,11 @@ dump.  The record then captures:
 * **Recovery**: reopening the WAL database after the churn history.
   The headline — and the gated metric — is
   ``speedup_snapshot_vs_replay``: recovering a *compacted* WAL (snapshot
-  + empty tail) versus replaying the full mutation history.  The churn
-  stream writes ~20 log records per surviving row, so compaction must
-  win by roughly that factor; the ratio is intra-backend and
-  hardware-insensitive, unlike cross-backend time ratios.
+  + empty tail) versus replaying the full mutation history.  Both legs
+  are the best of the same number of opens.  The churn stream writes ~20
+  log records per surviving row, so compaction must win by roughly that
+  factor; the ratio is intra-backend and hardware-insensitive, unlike
+  cross-backend time ratios.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ N_KINDS = 7
 #: Large enough that the replay-side WAL never auto-compacts: its whole
 #: history stays in the log, which is the point of the comparison.
 NO_COMPACT = 10**9
+
+#: Each recovery leg is timed as the best of this many opens, so one GC
+#: pause or cold page cannot swing the ratio.
+RECOVERY_REPEATS = 7
 
 EVENTS = TableSchema(
     "events",
@@ -84,10 +89,17 @@ def _bench_queries(db) -> float:
     return N_QUERIES / (time.perf_counter() - start)
 
 
-def _timed_open(target, backend, **options):
-    start = time.perf_counter()
-    db = open_database(target, backend=backend, **options)
-    return db, time.perf_counter() - start
+def _best_open(target, expected_dump: str) -> float:
+    """Best-of-``RECOVERY_REPEATS`` time to reopen the WAL at ``target``;
+    every open must restore ``expected_dump``."""
+    best = float("inf")
+    for _ in range(RECOVERY_REPEATS):
+        start = time.perf_counter()
+        db = open_database(target, backend="wal", compact_every=NO_COMPACT)
+        best = min(best, time.perf_counter() - start)
+        assert dump_canonical(db) == expected_dump
+        db.close()
+    return best
 
 
 def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
@@ -117,14 +129,12 @@ def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
     assert dumps["wal"] == dumps["memory"]
 
     # Recovery: replaying the full churn history ...
-    db, replay_s = _timed_open(wal_target, "wal", compact_every=NO_COMPACT)
-    assert dump_canonical(db) == dumps["memory"]
+    replay_s = _best_open(wal_target, dumps["memory"])
     # ... versus recovering from a compacted snapshot of the same state.
+    db = open_database(wal_target, backend="wal", compact_every=NO_COMPACT)
     db.backend.compact()
     db.close()
-    db, snapshot_s = _timed_open(wal_target, "wal", compact_every=NO_COMPACT)
-    assert dump_canonical(db) == dumps["memory"]
-    db.close()
+    snapshot_s = _best_open(wal_target, dumps["memory"])
 
     speedup = replay_s / snapshot_s if snapshot_s else 0.0
     by_backend = {r["backend"]: r for r in records}
@@ -138,6 +148,7 @@ def test_e11_storage_backends(tmp_path_factory, emit, emit_bench_json):
                 "queries": N_QUERIES,
             },
             "recovery": {
+                "repeats": RECOVERY_REPEATS,
                 "wal_replay_s": round(replay_s, 4),
                 "wal_snapshot_s": round(snapshot_s, 4),
             },

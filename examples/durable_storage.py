@@ -16,8 +16,6 @@ from pathlib import Path
 from repro import Crowd4U, HumanFactors, RuntimeConfig
 from repro.storage import dump_canonical
 
-workdir = Path(tempfile.mkdtemp(prefix="crowd4u-durable-"))
-
 
 def populate(platform: Crowd4U) -> None:
     for name, skill in [("ann", 0.9), ("bob", 0.7), ("eve", 0.8)]:
@@ -44,16 +42,23 @@ def populate(platform: Crowd4U) -> None:
     platform.step()
 
 
-# -- 1. a WAL-backed platform ------------------------------------------------
-config = RuntimeConfig(backend="wal", path=workdir / "crowd4u-wal")
-platform = Crowd4U(seed=7, config=config)
-populate(platform)
-state = dump_canonical(platform.db)
-print("WAL-backed platform:", platform.snapshot())
-platform.close()
+def main(workdir: Path) -> None:
+    # -- 1. a WAL-backed platform --------------------------------------------
+    config = RuntimeConfig(backend="wal", path=workdir / "crowd4u-wal")
+    platform = Crowd4U(seed=7, config=config)
+    populate(platform)
+    state = dump_canonical(platform.db)
+    print("WAL-backed platform:", platform.snapshot())
+    platform.close()
 
-# -- 2. "restart": reopening restores the identical database -----------------
-reopened = config.build_database()
-assert dump_canonical(reopened) == state
-print("reopened WAL database matches byte-for-byte:", reopened.counts())
-reopened.close()
+    # -- 2. "restart": reopening restores the identical database -------------
+    reopened = config.build_database()
+    assert dump_canonical(reopened) == state
+    print("reopened WAL database matches byte-for-byte:", reopened.counts())
+    reopened.close()
+
+
+if __name__ == "__main__":
+    # The WAL directory lives only as long as the example runs.
+    with tempfile.TemporaryDirectory(prefix="crowd4u-durable-") as workdir:
+        main(Path(workdir))

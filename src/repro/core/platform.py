@@ -939,11 +939,10 @@ class Crowd4U:
         ``eligible/1``; otherwise the constraint screen applies."""
         name = self._eligible_predicate(processor, task)
         if name is not None:
-            known = set(self.workers.ids())
             return sorted(
                 value[0]
                 for value in processor.facts(name)
-                if value and value[0] in known
+                if value and value[0] in self.workers
             )
         return [
             worker.id

@@ -105,6 +105,9 @@ class WorkerManager:
     def ids(self) -> list[str]:
         return sorted(self._cache)
 
+    def __contains__(self, worker_id: object) -> bool:
+        return worker_id in self._cache
+
     def __len__(self) -> int:
         return len(self._cache)
 

@@ -150,6 +150,11 @@ class EngineStats(CounterRecord):
     #: serial work, so they are identical at any worker count.
     interval_scans: int = 0
     interval_renumbers: int = 0
+    #: Rows copied into relation snapshots (:meth:`Relation.snapshot` is
+    #: cached, so a run that changed nothing copies none, and reads after
+    #: a run copy nothing).  Engine-side serial work, identical at any
+    #: worker count.
+    tuples_copied: int = 0
     plans: dict[str, str] = field(default_factory=dict)
 
     def derivation_counters(self) -> dict[str, int]:
@@ -184,14 +189,20 @@ class Relation:
     :meth:`discard` then updates all registered indexes, so lookups never
     rebuild.  Unregistered keys still work — they are built lazily on first
     probe and maintained from then on.
+
+    :meth:`snapshot` returns a cached immutable copy, rebuilt only after an
+    ``add``/``discard`` that changed the relation; ``tuples_copied`` counts
+    the rows copied into those rebuilds.
     """
 
-    __slots__ = ("arity", "_tuples", "_indexes")
+    __slots__ = ("arity", "_tuples", "_indexes", "_snapshot", "tuples_copied")
 
     def __init__(self, arity: int, index_specs: Iterable[tuple[int, ...]] = ()) -> None:
         self.arity = arity
         self._tuples: set[Tuple_] = set()
         self._indexes = TupleIndexSet()
+        self._snapshot: frozenset | None = frozenset()
+        self.tuples_copied = 0
         for positions in index_specs:
             self._indexes.ensure(positions, ())
 
@@ -201,6 +212,7 @@ class Relation:
             return False
         self._tuples.add(row)
         self._indexes.insert(row)
+        self._snapshot = None
         return True
 
     def add_many(self, rows: Iterable[Tuple_]) -> set[Tuple_]:
@@ -217,6 +229,7 @@ class Relation:
             return False
         self._tuples.discard(row)
         self._indexes.remove(row)
+        self._snapshot = None
         return True
 
     def ensure_index(self, positions: tuple[int, ...]) -> None:
@@ -247,7 +260,11 @@ class Relation:
         return iter(self._tuples)
 
     def snapshot(self) -> frozenset:
-        return frozenset(self._tuples)
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = frozenset(self._tuples)
+            self.tuples_copied += len(snapshot)
+        return snapshot
 
 
 class RelationStore:
@@ -291,7 +308,13 @@ class RelationStore:
         return sorted(self._relations)
 
     def snapshot(self) -> dict[str, frozenset]:
+        """Every relation's cached snapshot; only relations changed since
+        their last snapshot are copied."""
         return {name: rel.snapshot() for name, rel in self._relations.items()}
+
+    def tuples_copied(self) -> int:
+        """Rows copied into relation snapshots over this store's life."""
+        return sum(rel.tuples_copied for rel in self._relations.values())
 
     def fingerprint(self) -> str:
         """Stable content digest; equal iff snapshots are byte-identical
@@ -308,6 +331,11 @@ _EMPTY_ROWS: frozenset = frozenset()
 @dataclass(frozen=True)
 class EvaluationResult:
     """Immutable snapshot of every relation after evaluation.
+
+    Snapshots are cached per relation and shared between results: a
+    relation no later run changed is the same frozenset object in each,
+    and a changed one gets a new frozenset, so a result held across later
+    runs still shows its own fixpoint.
 
     ``added_rows`` / ``removed_rows`` report the net change this run made
     relative to the engine's previous fixpoint (empty on oracle evaluations
@@ -834,6 +862,8 @@ class SemiNaiveEngine:
         #: Evictions charged to support indexes already discarded by a
         #: full run, so stats.supports_evicted stays cumulative.
         self._evicted_base = 0
+        #: Snapshot copies made by stores a full run discarded, likewise.
+        self._copied_base = 0
         self._supports = self._new_supports()
         self._agg_cache: dict[int, set[Tuple_]] = {}
         self._pending = DeltaLedger()
@@ -1059,6 +1089,7 @@ class SemiNaiveEngine:
         else:
             result = self._incremental_run()
         self.stats.supports_evicted = self._evicted_base + self._supports.evicted
+        self.stats.tuples_copied = self._copied_base + self._store.tuples_copied()
         if self._pool is not None:
             self.stats.replica_backfills = self._pool.telemetry()["replica_backfills"]
         return result
@@ -1817,6 +1848,8 @@ class SemiNaiveEngine:
         previous = self._store.snapshot() if self._store is not None else {}
         store = self._new_store()
         self._evicted_base += self._supports.evicted
+        if self._store is not None:
+            self._copied_base += self._store.tuples_copied()
         self._supports = self._new_supports()
         self._agg_cache = {}
         for predicate, rows in self._base_facts.items():

@@ -172,7 +172,15 @@ class ShardedRelation:
     single shard of the re-hashed copy instead.
     """
 
-    __slots__ = ("arity", "n_shards", "_shards", "_index_specs", "_repartitions")
+    __slots__ = (
+        "arity",
+        "n_shards",
+        "_shards",
+        "_index_specs",
+        "_repartitions",
+        "_snapshot",
+        "tuples_copied",
+    )
 
     def __init__(
         self,
@@ -187,6 +195,9 @@ class ShardedRelation:
         self._shards = [Relation(arity, self._index_specs) for _ in range(n_shards)]
         #: position -> per-shard re-hashed copies of the whole relation.
         self._repartitions: dict[int, list[Relation]] = {}
+        #: Cached union of the shards, cleared by a changing add/discard.
+        self._snapshot: frozenset | None = frozenset()
+        self.tuples_copied = 0
         for position in repartition_positions:
             self.ensure_repartition(position)
 
@@ -231,6 +242,7 @@ class ShardedRelation:
             return False
         for position, parts in self._repartitions.items():
             parts[shard_of(row, self.n_shards, position)].add(row)
+        self._snapshot = None
         return True
 
     def add_many(self, rows: Iterable[Tuple_]) -> set[Tuple_]:
@@ -245,6 +257,7 @@ class ShardedRelation:
             return False
         for position, parts in self._repartitions.items():
             parts[shard_of(row, self.n_shards, position)].discard(row)
+        self._snapshot = None
         return True
 
     def ensure_index(self, positions: tuple[int, ...]) -> None:
@@ -292,7 +305,13 @@ class ShardedRelation:
             yield from shard
 
     def snapshot(self) -> frozenset:
-        return frozenset().union(*(shard.snapshot() for shard in self._shards))
+        """The cached union of the shards, built from their live sets (so
+        the shards keep no snapshot copies of their own)."""
+        snapshot = self._snapshot
+        if snapshot is None:
+            snapshot = self._snapshot = frozenset().union(*self._shards)
+            self.tuples_copied += len(snapshot)
+        return snapshot
 
 
 class _ChainedRows:

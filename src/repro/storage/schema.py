@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.storage.errors import SchemaError, UnknownColumnError
@@ -138,34 +138,3 @@ class TableSchema:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cols = ", ".join(c.name for c in self.columns)
         return f"TableSchema({self.name!r}: {cols}; pk={self.primary_key})"
-
-
-@dataclass(frozen=True)
-class SchemaDiff:
-    """Difference between two schemas with the same table name."""
-
-    added_columns: tuple[str, ...] = ()
-    removed_columns: tuple[str, ...] = ()
-    retyped_columns: tuple[str, ...] = field(default=())
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.added_columns or self.removed_columns or self.retyped_columns)
-
-
-def diff_schemas(old: TableSchema, new: TableSchema) -> SchemaDiff:
-    """Compute a column-level :class:`SchemaDiff` between two schemas."""
-    old_names = set(old.column_names)
-    new_names = set(new.column_names)
-    retyped = tuple(
-        sorted(
-            name
-            for name in old_names & new_names
-            if old.column(name).type is not new.column(name).type
-        )
-    )
-    return SchemaDiff(
-        added_columns=tuple(sorted(new_names - old_names)),
-        removed_columns=tuple(sorted(old_names - new_names)),
-        retyped_columns=retyped,
-    )

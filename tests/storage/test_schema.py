@@ -3,12 +3,7 @@
 import pytest
 
 from repro.storage.errors import SchemaError, UnknownColumnError
-from repro.storage.schema import (
-    Column,
-    ForeignKey,
-    TableSchema,
-    diff_schemas,
-)
+from repro.storage.schema import Column, ForeignKey, TableSchema
 from repro.storage.types import ColumnType
 
 
@@ -90,26 +85,3 @@ class TestTableSchema:
 
     def test_column_names_ordered(self):
         assert _schema().column_names == ("id", "x")
-
-
-class TestSchemaDiff:
-    def test_identical_schemas_empty_diff(self):
-        assert diff_schemas(_schema(), _schema()).is_empty
-
-    def test_added_and_removed(self):
-        new = TableSchema(
-            "t",
-            [Column("id", ColumnType.INT), Column("y", ColumnType.TEXT)],
-            primary_key=("id",),
-        )
-        diff = diff_schemas(_schema(), new)
-        assert diff.added_columns == ("y",)
-        assert diff.removed_columns == ("x",)
-
-    def test_retyped(self):
-        new = TableSchema(
-            "t",
-            [Column("id", ColumnType.INT), Column("x", ColumnType.INT)],
-            primary_key=("id",),
-        )
-        assert diff_schemas(_schema(), new).retyped_columns == ("x",)

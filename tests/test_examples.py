@@ -1,9 +1,10 @@
 """Every shipped example script runs to completion.
 
 Each ``examples/*.py`` runs in its own interpreter, from a scratch
-working directory, with the source tree on ``PYTHONPATH``; a script that
-raises (for instance because it calls a library function whose signature
-changed) fails its test.
+working directory and with its own temp directory, with the source tree
+on ``PYTHONPATH``; a script that raises (for instance because it calls a
+library function whose signature changed) or leaves its WAL directory
+behind fails its test.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ def test_example_exits_cleanly(script: Path, tmp_path: Path):
     env["PYTHONPATH"] = os.pathsep.join(
         part for part in (src, env.get("PYTHONPATH")) if part
     )
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env["TMPDIR"] = str(tmpdir)
     completed = subprocess.run(
         [sys.executable, str(script)],
         cwd=tmp_path,
@@ -35,3 +39,4 @@ def test_example_exits_cleanly(script: Path, tmp_path: Path):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
+    assert not list(tmpdir.glob("crowd4u-durable-*"))
