@@ -137,6 +137,11 @@ def test_e10c_cost_planner_vs_naive_at_scale(emit, emit_bench_json):
 # deltas against a retained 10k+ fact materialisation vs run(full=True).
 DELTA_ROUNDS = pick(12, 3)
 DELTA_SIZE = pick(8, 2)
+#: Both legs are timed best of this many replays: each delta round's time
+#: is its minimum over REPEATS identical fresh engines, and the full leg
+#: is the fastest of REPEATS ``run(full=True)`` calls, so one GC pause or
+#: cold cache cannot swing the headline.
+REPEATS = 5
 
 DELTA_RULES = """
     reach(S, Y) :- link(X, Y), reach(S, X).
@@ -146,11 +151,8 @@ DELTA_RULES = """
 """
 
 
-def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
-    """The per-platform-round operation after this PR: facts arrive *and*
-    get revoked between runs, and the engine propagates only the deltas —
-    support counting plus DRed retraction — instead of re-deriving every
-    stratum from base facts."""
+def _delta_engine() -> SemiNaiveEngine:
+    """The retained 10k+ fact materialisation the delta rounds churn."""
     engine = SemiNaiveEngine(parse_program(DELTA_RULES))
     engine.add_facts("link", [
         (c * 1000 + i, c * 1000 + i + 1)
@@ -160,8 +162,12 @@ def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
     engine.add_facts("source", [(c * 1000,) for c in range(SCALE_CHAINS)])
     engine.add_facts("banned", [(c * 1000 + 3,) for c in range(0, SCALE_CHAINS, 7)])
     engine.run()
+    return engine
 
-    incr_times = []
+
+def _play_delta_rounds(engine: SemiNaiveEngine) -> list[float]:
+    """Play the DELTA_ROUNDS churn rounds; returns each round's seconds."""
+    times = []
     tail = SCALE_DEPTH
     added_last: list[tuple[int, int]] = []
     for round_index in range(DELTA_ROUNDS):
@@ -188,16 +194,36 @@ def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
             engine.retract_facts("link", [mid_link])
             engine.retract_facts("banned", [banned_flip])
         result = engine.run()
-        incr_times.append(time.perf_counter() - start)
+        times.append(time.perf_counter() - start)
         assert result.has_changes()
         added_last = extend
     assert engine.runs == 1  # every delta round stayed incremental
     assert engine.stats.incremental_runs == DELTA_ROUNDS
+    return times
 
-    incremental_s = sum(incr_times) / len(incr_times)
-    start = time.perf_counter()
-    full_result = engine.run(full=True)
-    full_s = time.perf_counter() - start
+
+def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
+    """The per-platform-round operation: facts arrive *and* get revoked
+    between runs, and the engine propagates only the deltas — support
+    counting plus DRed retraction — instead of re-deriving every stratum
+    from base facts."""
+    round_best = [float("inf")] * DELTA_ROUNDS
+    for _ in range(REPEATS):
+        engine = _delta_engine()
+        joined_before = engine.stats.tuples_joined
+        times = _play_delta_rounds(engine)
+        round_best = [min(best, t) for best, t in zip(round_best, times)]
+    incremental_s = sum(round_best) / DELTA_ROUNDS
+    incremental_joined = (engine.stats.tuples_joined - joined_before) / DELTA_ROUNDS
+    full_s = float("inf")
+    full_joined_counts = set()
+    for _ in range(REPEATS):
+        joined_before = engine.stats.tuples_joined
+        start = time.perf_counter()
+        full_result = engine.run(full=True)
+        full_s = min(full_s, time.perf_counter() - start)
+        full_joined_counts.add(engine.stats.tuples_joined - joined_before)
+    (full_joined,) = full_joined_counts  # every repeat does the same work
     # The retained materialisation must match the from-scratch recompute.
     fresh = SemiNaiveEngine(parse_program(DELTA_RULES))
     for predicate, rows in engine._base_facts.items():
@@ -214,6 +240,9 @@ def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
             "adds_retracts_per_round": ops_per_round,
             "mean_incremental_run_ms": round(incremental_s * 1000, 3),
             "full_recompute_ms": round(full_s * 1000, 2),
+            "repeats": REPEATS,
+            "incremental_tuples_joined_per_run": round(incremental_joined, 1),
+            "full_tuples_joined_per_run": full_joined,
             "ops_per_s": round(ops_per_round / incremental_s, 1)
             if incremental_s
             else None,
@@ -226,8 +255,13 @@ def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
             ("base facts", SCALE_CHAINS * SCALE_DEPTH + SCALE_CHAINS),
             ("delta rounds", DELTA_ROUNDS),
             ("adds+retracts per round", 2 * DELTA_SIZE + 1),
-            ("mean incremental run (ms)", round(incremental_s * 1000, 2)),
-            ("full recompute (ms)", round(full_s * 1000, 2)),
+            (
+                f"mean incremental run, best of {REPEATS} (ms)",
+                round(incremental_s * 1000, 2),
+            ),
+            (f"full recompute, best of {REPEATS} (ms)", round(full_s * 1000, 2)),
+            ("tuples joined per incremental run", round(incremental_joined, 1)),
+            ("tuples joined per full run", full_joined),
             ("per-run speedup", round(speedup, 1)),
         ],
         title="E10d — cross-run incremental deltas vs full recompute",

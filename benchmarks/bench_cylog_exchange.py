@@ -1,37 +1,28 @@
-"""E10f — exchange-operator join repartitioning + process executors (PR 5).
+"""E10f — exchange-operator join repartitioning.
 
 Skew-keyed multi-atom joins whose probe key misses the shard key prefix,
-at 20k+ base facts.  Two headline comparisons, one workload:
+at 20k+ base facts, on the single store and on 8 shards with chained or
+repartitioned probes.  Two phases, one workload:
 
-* **Chained vs repartitioned probes** (churn phase).  ``right`` is probed
-  on its *second* position; at 8 shards a chained lookup pays 8 bucket
-  probes plus a chained-view allocation per binding tuple, while the
-  exchange repartition routes to exactly one.  Each churn row joins a
-  wide ``fan`` bucket whose targets miss ``right`` — ~2000 cold probes
-  per row — so per-probe overhead *is* the round, and the repartitioned
-  configuration must beat the chained one >1.5x at a single worker.
+* **Churn.**  ``right`` is probed on its *second* position; at 8 shards
+  a chained lookup pays 8 bucket probes plus a chained-view allocation
+  per binding tuple, while the exchange repartition routes to exactly
+  one.  Each churn row joins a wide ``fan`` bucket whose targets miss
+  ``right`` — ~2000 cold probes per row — so per-probe overhead *is* the
+  round, and the repartitioned configuration must beat the chained one
+  >1.5x (the headline, ``speedup_exchange_vs_chained``).
 
-* **Process pool vs inline (serial) evaluation on CPU-bound rounds**
-  (bulk phase).  Large delta batches drive the per-(rule, target-shard)
-  task fan-out through real skew-keyed probe/bind work (hot keys fan out
-  ~10x wider than cold ones), with band filters keeping the derived
-  sets — and therefore the serial merge and the replica sync traffic —
-  small.  Worker processes hold synced replica stores and genuinely
-  parallelise, paying only delta-sized IPC; the baseline is the same
-  sharded exchange configuration evaluated inline.
-  ``min_parallel_rows`` keeps the small churn rounds inline on the
-  pooled configuration, exactly as in production steady state.
-  The process-beats-serial assertion needs parallel hardware, so it is
-  gated on the cores actually available to this process; the recorded
-  trajectory carries ``effective_cores`` so a single-core container's
-  numbers are read for what they are.
+* **Bulk.**  Large delta batches drive real skew-keyed probe/bind work
+  (hot keys fan out ~10x wider than cold ones), with band filters
+  keeping the derived sets small, so the rounds are CPU-bound.
 
-Every configuration must land on the byte-identical store (the
-repartition-diff oracle gates the same property in CI; the bench
-re-checks the fingerprints).
+Both phases are also recorded on the single store, which answers
+whether sharding with the exchange operator pays at all.  Every
+configuration must land on the byte-identical store (the shard-diff
+oracle gates the same property in CI; the bench re-checks the
+fingerprints).
 """
 
-import os
 import time
 
 from repro.cylog import SemiNaiveEngine, ShardConfig, parse_program
@@ -51,9 +42,6 @@ CHURN_ROUNDS = pick(20, 3)
 CHURN_BATCH = pick(8, 4)
 BULK_ROUNDS = pick(5, 2)
 BULK_BATCH = pick(4000, 40)
-#: Pooled configs dispatch only the bulk-sized rounds; churn stays inline.
-MIN_PARALLEL = pick(2500, 20)
-EFFECTIVE_CORES = len(os.sched_getaffinity(0))
 
 RULES = """
     match(L, R) :- left(L, K), right(R, K), R > L, R < L + 50.
@@ -68,15 +56,6 @@ CONFIGS = (
     ("single-store", ShardConfig()),
     ("sharded x8 chained", ShardConfig(shards=8, exchange=False)),
     ("sharded x8 exchange", ShardConfig(shards=8)),
-    (
-        "exchange + process x8",
-        ShardConfig(
-            shards=8,
-            executor="process",
-            max_workers=8,
-            min_parallel_rows=MIN_PARALLEL,
-        ),
-    ),
 )
 
 
@@ -135,52 +114,49 @@ def _bulk_rows(round_index: int) -> list[tuple[int, int]]:
 
 def _run_config(config: ShardConfig) -> dict:
     engine = _build_engine(config)
-    try:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    engine.run()
+    initial_s = time.perf_counter() - start
+
+    churn_ops = 0
+    start = time.perf_counter()
+    for round_index in range(CHURN_ROUNDS):
+        rows = _churn_rows(round_index)
+        engine.add_facts("left", rows)
         engine.run()
-        initial_s = time.perf_counter() - start
+        engine.retract_facts("left", rows)
+        engine.run()
+        churn_ops += 2 * len(rows)
+    churn_s = time.perf_counter() - start
 
-        churn_ops = 0
-        start = time.perf_counter()
-        for round_index in range(CHURN_ROUNDS):
-            rows = _churn_rows(round_index)
-            engine.add_facts("left", rows)
-            engine.run()
-            engine.retract_facts("left", rows)
-            engine.run()
-            churn_ops += 2 * len(rows)
-        churn_s = time.perf_counter() - start
+    bulk_ops = 0
+    start = time.perf_counter()
+    for round_index in range(BULK_ROUNDS):
+        rows = _bulk_rows(round_index)
+        engine.add_facts("left", rows)
+        engine.run()
+        bulk_ops += len(rows)
+    bulk_s = time.perf_counter() - start
 
-        bulk_ops = 0
-        start = time.perf_counter()
-        for round_index in range(BULK_ROUNDS):
-            rows = _bulk_rows(round_index)
-            engine.add_facts("left", rows)
-            engine.run()
-            bulk_ops += len(rows)
-        bulk_s = time.perf_counter() - start
-
-        assert engine.runs == 1  # every phase stayed incremental
-        return {
-            "initial_run_ms": round(initial_s * 1000, 2),
-            "churn_ops": churn_ops,
-            "churn_ops_per_s": round(churn_ops / churn_s, 1) if churn_s else 0.0,
-            "bulk_ops": bulk_ops,
-            "bulk_round_ms": round(bulk_s * 1000 / BULK_ROUNDS, 2),
-            "bulk_ops_per_s": round(bulk_ops / bulk_s, 1) if bulk_s else 0.0,
-            "derived_match": len(engine.facts("match")),
-            "derived_pair": len(engine.facts("pair")),
-            "derived_hop2": len(engine.facts("hop2")),
-            "derived_fanout": len(engine.facts("fanout")),
-            "exchange_hits": engine.stats.exchange_hits,
-            "chained_lookups": engine.stats.chained_lookups,
-            "fingerprint": engine.store.fingerprint(),
-        }
-    finally:
-        engine.close()
+    assert engine.runs == 1  # every phase stayed incremental
+    return {
+        "initial_run_ms": round(initial_s * 1000, 2),
+        "churn_ops": churn_ops,
+        "churn_ops_per_s": round(churn_ops / churn_s, 1) if churn_s else 0.0,
+        "bulk_ops": bulk_ops,
+        "bulk_round_ms": round(bulk_s * 1000 / BULK_ROUNDS, 2),
+        "bulk_ops_per_s": round(bulk_ops / bulk_s, 1) if bulk_s else 0.0,
+        "derived_match": len(engine.facts("match")),
+        "derived_pair": len(engine.facts("pair")),
+        "derived_hop2": len(engine.facts("hop2")),
+        "derived_fanout": len(engine.facts("fanout")),
+        "exchange_hits": engine.stats.exchange_hits,
+        "chained_lookups": engine.stats.chained_lookups,
+        "fingerprint": engine.store.fingerprint(),
+    }
 
 
-def test_e10f_exchange_and_process_parallelism(emit, emit_bench_json):
+def test_e10f_exchange_repartitioning(emit, emit_bench_json):
     base_facts = N_LEFT + N_RIGHT + 2 * NUM_KEYS + FAN_KEYS * FAN_WIDTH
     records = []
     for label, config in CONFIGS:
@@ -189,8 +165,6 @@ def test_e10f_exchange_and_process_parallelism(emit, emit_bench_json):
             {
                 "label": label,
                 "shards": config.shards,
-                "executor": config.executor,
-                "workers": config.max_workers or 1,
                 "exchange": config.exchange,
             }
         )
@@ -200,18 +174,14 @@ def test_e10f_exchange_and_process_parallelism(emit, emit_bench_json):
     assert len({r.pop("fingerprint") for r in records}) == 1
 
     by_label = {r["label"]: r for r in records}
-    exchange_serial = by_label["sharded x8 exchange"]
-    chained_serial = by_label["sharded x8 chained"]
+    exchanged = by_label["sharded x8 exchange"]
+    chained = by_label["sharded x8 chained"]
     # The exchange configs actually exercised repartitioned probes, the
     # chained baseline (plan parity with the single store) none.
-    assert exchange_serial["exchange_hits"] > 0
-    assert chained_serial["exchange_hits"] == 0
+    assert exchanged["exchange_hits"] > 0
+    assert chained["exchange_hits"] == 0
 
-    speedup_exchange = (
-        exchange_serial["churn_ops_per_s"] / chained_serial["churn_ops_per_s"]
-    )
-    process = by_label["exchange + process x8"]
-    speedup_process = process["bulk_ops_per_s"] / exchange_serial["bulk_ops_per_s"]
+    speedup_exchange = exchanged["churn_ops_per_s"] / chained["churn_ops_per_s"]
 
     emit_bench_json(
         "E10f",
@@ -227,32 +197,24 @@ def test_e10f_exchange_and_process_parallelism(emit, emit_bench_json):
                 "bulk_rounds": BULK_ROUNDS,
                 "bulk_batch": BULK_BATCH,
             },
-            "effective_cores": EFFECTIVE_CORES,
             "speedup_exchange_vs_chained": round(speedup_exchange, 2),
-            "speedup_process_vs_serial": round(speedup_process, 2),
             "configs": records,
         },
     )
     emit(format_table(
-        ("config", "workers", "initial (ms)", "churn ops/s", "bulk round (ms)",
+        ("config", "shards", "initial (ms)", "churn ops/s", "bulk round (ms)",
          "bulk ops/s"),
         [
-            (r["label"], r["workers"], r["initial_run_ms"], r["churn_ops_per_s"],
+            (r["label"], r["shards"], r["initial_run_ms"], r["churn_ops_per_s"],
              r["bulk_round_ms"], r["bulk_ops_per_s"])
             for r in records
         ],
         title=(
-            f"E10f — exchange repartitioning + process executors "
+            f"E10f — exchange repartitioning "
             f"({base_facts} base facts, churn {CHURN_ROUNDS}x{2 * CHURN_BATCH} "
             f"ops, bulk {BULK_ROUNDS}x{BULK_BATCH} rows)"
         ),
     ))
     if not pick(False, True):  # full-size runs must show the headline shape
-        # Repartitioned probes beat chained ones >1.5x at a single worker.
+        # Repartitioned probes beat chained ones >1.5x.
         assert speedup_exchange > 1.5, records
-        # The process pool beats inline evaluation of the same sharded
-        # configuration on CPU rounds — demonstrable only where parallel
-        # hardware exists; a single-core container records the (honest)
-        # overhead instead.
-        if EFFECTIVE_CORES >= 2:
-            assert speedup_process > 1.0, records

@@ -86,68 +86,65 @@ def _build_engine(interval: bool) -> SemiNaiveEngine:
 
 def _run_mode(interval: bool) -> dict:
     engine = _build_engine(interval)
-    try:
-        start = time.perf_counter()
+    start = time.perf_counter()
+    engine.run()
+    build_s = time.perf_counter() - start
+    build_fp = engine.store.fingerprint()
+
+    victims = _movable_subtrees()
+    fingerprints = []
+    start = time.perf_counter()
+    for round_index in range(CHURN_ROUNDS):
+        # Subtree move: re-parent a mid-depth task under a leaf of the
+        # *previous* victim's subtree, then move it back — the tree
+        # shape is restored so every round does the same work.
+        victim = victims[round_index % len(victims)]
+        old_parent = (victim - 1) // BRANCH
+        new_parent = _subtree_leaf(victims[(round_index + 1) % len(victims)])
+        engine.retract_facts("edge", [(old_parent, victim)])
+        engine.add_facts("edge", [(new_parent, victim)])
         engine.run()
-        build_s = time.perf_counter() - start
-        build_fp = engine.store.fingerprint()
+        engine.retract_facts("edge", [(new_parent, victim)])
+        engine.add_facts("edge", [(old_parent, victim)])
+        engine.run()
+        # Leaf churn: a fresh batch of subtasks appears and resolves.
+        base = 10_000_000 + round_index * LEAF_BATCH
+        rows = [(victim, base + j) for j in range(LEAF_BATCH)]
+        engine.add_facts("edge", rows)
+        engine.run()
+        engine.retract_facts("edge", rows)
+        engine.run()
+        fingerprints.append(engine.store.fingerprint())
+    churn_s = time.perf_counter() - start
 
-        victims = _movable_subtrees()
-        fingerprints = []
-        start = time.perf_counter()
-        for round_index in range(CHURN_ROUNDS):
-            # Subtree move: re-parent a mid-depth task under a leaf of the
-            # *previous* victim's subtree, then move it back — the tree
-            # shape is restored so every round does the same work.
-            victim = victims[round_index % len(victims)]
-            old_parent = (victim - 1) // BRANCH
-            new_parent = _subtree_leaf(victims[(round_index + 1) % len(victims)])
-            engine.retract_facts("edge", [(old_parent, victim)])
-            engine.add_facts("edge", [(new_parent, victim)])
-            engine.run()
-            engine.retract_facts("edge", [(new_parent, victim)])
-            engine.add_facts("edge", [(old_parent, victim)])
-            engine.run()
-            # Leaf churn: a fresh batch of subtasks appears and resolves.
-            base = 10_000_000 + round_index * LEAF_BATCH
-            rows = [(victim, base + j) for j in range(LEAF_BATCH)]
-            engine.add_facts("edge", rows)
-            engine.run()
-            engine.retract_facts("edge", rows)
-            engine.run()
-            fingerprints.append(engine.store.fingerprint())
-        churn_s = time.perf_counter() - start
+    # Descendant queries: single indexed range/bucket probes over the
+    # materialised closure — identical on both legs by construction.
+    tc = engine.store.maybe("tc")
+    start = time.perf_counter()
+    probed = 0
+    step = max(1, N_NODES // QUERY_PROBES)
+    for node in range(0, N_NODES, step):
+        probed += len(tc.lookup((0,), (node,)))
+    query_s = time.perf_counter() - start
 
-        # Descendant queries: single indexed range/bucket probes over the
-        # materialised closure — identical on both legs by construction.
-        tc = engine.store.maybe("tc")
-        start = time.perf_counter()
-        probed = 0
-        step = max(1, N_NODES // QUERY_PROBES)
-        for node in range(0, N_NODES, step):
-            probed += len(tc.lookup((0,), (node,)))
-        query_s = time.perf_counter() - start
-
-        assert engine.runs == 1  # every churn round stayed incremental
-        return {
-            "mode": "interval" if interval else "fixpoint",
-            "build_ms": round(build_s * 1000, 1),
-            "churn_s": round(churn_s, 3),
-            "churn_rounds_per_s": round(
-                CHURN_ROUNDS / churn_s if churn_s else 0.0, 2
-            ),
-            "query_ms": round(query_s * 1000, 1),
-            "descendant_rows_probed": probed,
-            "tc_rows": len(engine.facts("tc")),
-            "interval_scans": engine.stats.interval_scans,
-            "interval_renumbers": engine.stats.interval_renumbers,
-            "build_fingerprint": build_fp,
-            "churn_fingerprints": fingerprints,
-            "_build_s": build_s,
-            "_churn_s": churn_s,
-        }
-    finally:
-        engine.close()
+    assert engine.runs == 1  # every churn round stayed incremental
+    return {
+        "mode": "interval" if interval else "fixpoint",
+        "build_ms": round(build_s * 1000, 1),
+        "churn_s": round(churn_s, 3),
+        "churn_rounds_per_s": round(
+            CHURN_ROUNDS / churn_s if churn_s else 0.0, 2
+        ),
+        "query_ms": round(query_s * 1000, 1),
+        "descendant_rows_probed": probed,
+        "tc_rows": len(engine.facts("tc")),
+        "interval_scans": engine.stats.interval_scans,
+        "interval_renumbers": engine.stats.interval_renumbers,
+        "build_fingerprint": build_fp,
+        "churn_fingerprints": fingerprints,
+        "_build_s": build_s,
+        "_churn_s": churn_s,
+    }
 
 
 def test_e13_interval_hierarchy(emit, emit_bench_json):

@@ -21,9 +21,9 @@ Two kinds of committed reference exist, used for different things:
   after an intentional perf change (it keeps the min of old and fresh
   unless ``--reset`` is also given).
 
-Gated metrics are an explicit catalog, not a wildcard: hardware-coupled
-ratios (``speedup_process_vs_serial`` needs multiple cores to mean
-anything) are reported for context but never gated.
+Gated metrics are an explicit catalog, not a wildcard: context metrics
+(absolute rates and latencies, secondary ratios) are reported next to
+them but never gated.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "E10e": ("speedup_vs_single",),
     "E10f": ("speedup_exchange_vs_chained",),
     "E11": ("speedup_snapshot_vs_replay",),
-    # Sync-byte ratio, not a timing: deterministic on any hardware.
-    "E12": ("speedup_pruned_vs_full_sync",),
     "E13": ("speedup_interval_vs_fixpoint",),
     # Absolute throughput, not a ratio: the committed smoke floor is set
     # conservatively low so only a serving-path collapse trips it.
@@ -59,9 +57,8 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "E15c": ("speedup_delta_vs_snapshot",),
 }
 
-#: Reported next to the gated metrics but never gated (hardware-coupled).
+#: Reported next to the gated metrics but never gated.
 CONTEXT_METRICS: dict[str, tuple[str, ...]] = {
-    "E10f": ("speedup_process_vs_serial",),
     "E11": ("mutation_ops_per_s",),
     "E13": ("speedup_build_interval_vs_fixpoint",),
     "E14": ("p99_ms", "coalescing_x"),

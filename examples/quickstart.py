@@ -18,7 +18,7 @@ from repro import (
 )
 
 # RuntimeConfig gathers every deployment knob (storage backend, engine
-# sharding/executor, memory budgets); the defaults are an in-memory,
+# sharding, memory budgets); the defaults are an in-memory,
 # single-store serial deployment — see examples/durable_storage.py for a
 # platform that survives restarts.
 platform = Crowd4U(seed=42, config=RuntimeConfig())

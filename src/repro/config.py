@@ -2,12 +2,12 @@
 
 :class:`RuntimeConfig` gathers every knob that used to travel as separate
 keyword arguments on ``Crowd4U(...)`` and ``CyLogProcessor(...)`` —
-storage backend, sharding/executor layout, the exchange operator, the
+storage backend, shard layout, the exchange operator, the
 support-index memory budget and the serving front-end — into one
 validated value object:
 
 >>> from repro import Crowd4U, RuntimeConfig
->>> platform = Crowd4U(config=RuntimeConfig(shards=4, executor="process"))
+>>> platform = Crowd4U(config=RuntimeConfig(shards=4))
 
 ``config=`` is the only spelling.  The serving slice nests as a
 frozen :class:`~repro.serving.config.ServingConfig`
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.storage.database import Database
 
 _BACKENDS = ("memory", "wal")
-_EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -43,12 +42,9 @@ class RuntimeConfig:
     forwarded to the WAL backend constructor (e.g.
     ``{"compact_every": 1000}``).
 
-    Evaluation: ``shards`` / ``executor`` / ``max_workers`` /
-    ``exchange`` configure the CyLog engine exactly like
-    :class:`~repro.cylog.sharding.ShardConfig`.  ``executor`` is
-    ``"serial"`` (every task inline) or ``"process"``, where each worker
-    holds a replica of only the (relation, shard) partitions its tasks
-    probe, backfilled lazily.
+    Evaluation: ``shards`` / ``exchange`` configure the CyLog engine
+    exactly like :class:`~repro.cylog.sharding.ShardConfig`; every
+    evaluation task runs inline.
 
     Memory: ``support_budget`` caps how many support entries the
     incremental engine's provenance index may hold; past the cap the
@@ -65,8 +61,6 @@ class RuntimeConfig:
     path: str | Path | None = None
     backend_options: dict[str, Any] = field(default_factory=dict)
     shards: int = 1
-    executor: str = "serial"
-    max_workers: int | None = None
     exchange: bool = True
     support_budget: int | None = None
     serving: ServingConfig = field(default_factory=ServingConfig)
@@ -80,10 +74,6 @@ class RuntimeConfig:
             raise ValueError(f"backend {self.backend!r} requires a path")
         if self.backend == "memory" and self.path is not None:
             raise ValueError("the memory backend takes no path")
-        if self.executor not in _EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {_EXECUTORS}"
-            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.support_budget is not None and self.support_budget < 0:
@@ -103,12 +93,7 @@ class RuntimeConfig:
         """The engine-facing slice of this configuration."""
         from repro.cylog.sharding import ShardConfig
 
-        return ShardConfig(
-            shards=self.shards,
-            executor=self.executor,
-            max_workers=self.max_workers,
-            exchange=self.exchange,
-        )
+        return ShardConfig(shards=self.shards, exchange=self.exchange)
 
     def build_database(self) -> "Database":
         """Open the database this configuration describes."""

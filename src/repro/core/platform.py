@@ -27,11 +27,9 @@ oracle that verifies the incrementally maintained ledger against a
 from-scratch recomputation.  Work counters live in :class:`PlatformStats`.
 
 Every project's CyLog engine can be hash-sharded
-(``Crowd4U(config=RuntimeConfig(shards=8))``) and evaluated inline or on
-a process pool (``executor="process"`` — see
-:class:`repro.cylog.ShardConfig`): the
-round's eligibility maintenance then consumes the engine's change sets
-*per shard* — the removed-row membership probe
+(``Crowd4U(config=RuntimeConfig(shards=8))`` — see
+:class:`repro.cylog.ShardConfig`): the round's eligibility maintenance
+then consumes the engine's change sets *per shard* — the removed-row membership probe
 ``relation.lookup((0,), (worker_id,))`` routes straight to the shard
 owning the worker id instead of touching a global index — while
 snapshots and deltas stay byte-identical to the single-store
@@ -1017,10 +1015,8 @@ class Crowd4U:
             self.processor(root_task.project_id).run()
 
     def close(self) -> None:
-        """Stop every project engine's worker processes and flush the
-        storage backend (both no-ops in the default configuration)."""
-        for processor in self._processors.values():
-            processor.close()
+        """Flush and close the storage backend (a no-op with the default
+        memory backend)."""
         self.db.close()
 
     # -- observability ------------------------------------------------------

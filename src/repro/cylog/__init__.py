@@ -83,7 +83,6 @@ from repro.cylog.parser import parse_program
 from repro.cylog.pretty import explain_program, program_to_source
 from repro.cylog.processor import CyLogProcessor
 from repro.cylog.safety import IntervalSpec, JoinPlan, PlanStep, compile_program
-from repro.cylog.procpool import ProcessExecutor, ProcessPoolBrokenError
 from repro.cylog.sharding import (
     ShardConfig,
     ShardedRelationStore,
@@ -108,8 +107,6 @@ __all__ = [
     "Negation",
     "OpenDecl",
     "PlanStep",
-    "ProcessExecutor",
-    "ProcessPoolBrokenError",
     "Program",
     "Rule",
     "SemiNaiveEngine",

@@ -21,18 +21,16 @@ Every run reports what changed through ``EvaluationResult.added`` /
 ``removed``, which the CyLog processor and the platform consume as
 first-class deltas.
 
-The engine is also *shardable* and *parallelisable* (see
-:mod:`repro.cylog.sharding`): with a :class:`ShardConfig` the relation
-store is hash-partitioned by key prefix, the support index shards its
-wildcard reverse index, and each semi-naive round's (rule, delta
-partition) tasks run either inline or on a process pool
-(:mod:`repro.cylog.procpool`).  Both paths evaluate a task through the
-one runner, :func:`run_rule_task`, and results are merged serially in
-submission order, so fixpoints, reported deltas and the derivation
-counters are bit-identical at any worker count; the ``shard-diff`` CI
-oracle enforces byte-identical snapshots against the single-store
-engine.  Strata evaluate in index order, which stratification makes
-topological.
+The engine is also *shardable* (see :mod:`repro.cylog.sharding`): with a
+:class:`ShardConfig` the relation store is hash-partitioned by key
+prefix and the support index shards its wildcard reverse index.  Each
+semi-naive round's (rule, delta atom) tasks run inline through the one
+runner, :func:`run_rule_task`, all against the pre-round store, and
+results merge serially in submission order, so fixpoints, reported
+deltas and the derivation counters are bit-identical at any shard
+count; the ``shard-diff`` CI oracle enforces byte-identical snapshots
+against the single-store engine.  Strata evaluate in index order, which
+stratification makes topological.
 
 :func:`naive_evaluate` exists as an oracle for differential testing and as
 the baseline for the E10 bench.  Both report work counters through
@@ -42,7 +40,7 @@ the baseline for the E10 bench.  Both report work counters through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.cylog.ast import (
     AggregateTerm,
@@ -87,7 +85,7 @@ Bindings = dict[str, Any]
 #: by the same factor on runs that touch nothing of the relation; rates
 #: below the floor are forgotten entirely.  Purely a function of the
 #: reported run deltas, so the rates — and any replan they trigger — are
-#: identical on every executor at any worker count.
+#: identical at any shard count.
 WRITE_RATE_ALPHA = 0.5
 WRITE_RATE_FLOOR = 0.5
 
@@ -105,8 +103,7 @@ class EngineStats(CounterRecord):
     provenance kept for it.  Feed the counters into a metrics collector with
     :meth:`to_collector` (once per collector — the values are cumulative).
     Evaluation tasks count their work in scratch records, which the
-    engine absorbs serially in submission order, so the cumulative
-    counters are identical at any worker count.
+    engine absorbs serially in submission order.
     """
 
     collector_prefix = "cylog_engine"
@@ -130,36 +127,24 @@ class EngineStats(CounterRecord):
     shard_tasks: int = 0
     exchange_hits: int = 0
     chained_lookups: int = 0
-    #: Replica-sync telemetry (process executor only; zero when serial).
-    #: ``sync_rows`` / ``sync_bytes`` measure the engine-side mutation
-    #: stream — net rows flushed to worker replicas and the canonical
-    #: payload size — so they are identical at any worker count.
-    #: ``replica_backfills`` counts executor-side partition movements (lazy
-    #: backfills on subscription growth) and depends on how many workers
-    #: the partitions are spread over.
-    sync_rows: int = 0
-    sync_bytes: int = 0
-    replica_backfills: int = 0
     #: Mid-stream recompilations triggered by an observed write rate
     #: crossing an exchange break-even (write-aware exchange costing).
     write_replans: int = 0
     #: Interval access path: range scans served by the engine-side
     #: hierarchy index (descendant queries, closure enumerations, subtree
     #: collections under churn) and nodes relabelled *beyond* the moved
-    #: subtree when gap allocation ran out of slots.  Both are engine-side
-    #: serial work, so they are identical at any worker count.
+    #: subtree when gap allocation ran out of slots.
     interval_scans: int = 0
     interval_renumbers: int = 0
     #: Rows copied into relation snapshots (:meth:`Relation.snapshot` is
     #: cached, so a run that changed nothing copies none, and reads after
-    #: a run copy nothing).  Engine-side serial work, identical at any
-    #: worker count.
+    #: a run copy nothing).
     tuples_copied: int = 0
     plans: dict[str, str] = field(default_factory=dict)
 
     def derivation_counters(self) -> dict[str, int]:
-        """The counters that must be identical across every shard count,
-        executor and worker count (they are all merge-side): what was
+        """The counters that must be identical across every shard count
+        (they are all merge-side): what was
         derived, retracted, re-derived and recorded — not how the probes
         that found it were routed."""
         keys = (
@@ -562,9 +547,7 @@ def support_key_for(
     rule_index: int, rule: CompiledRule, bindings: Bindings
 ) -> "SupportKey":
     """The derivation identity of one rule firing: the rule plus the
-    positive body rows it consumed.  A pure function of its arguments, so
-    process workers (see :mod:`repro.cylog.procpool`) compute keys
-    byte-identical to the engine's."""
+    positive body rows it consumed."""
     deps = tuple(
         (atom.predicate, _dep_row(atom, bindings))
         for atom in rule.rule.body_atoms()
@@ -572,11 +555,9 @@ def support_key_for(
     return (rule_index, deps)
 
 
-#: One evaluation task: (rule index, join-plan position of the delta atom
-#: — ``None`` for a full round-0 evaluation — the delta shard the
-#: partition was split on — ``None`` when unsplit — and the delta
-#: partition itself).
-_Task = tuple[int, int | None, int | None, Relation | None]
+#: One semi-naive evaluation task: (rule index, join-plan position of the
+#: delta atom, the delta relation).
+_Task = tuple[int, int, Relation]
 
 
 def run_rule_task(
@@ -593,9 +574,7 @@ def run_rule_task(
     whole body (round 0 of a full run).  The runner only *reads* the store
     and counts work into a scratch stats record; the caller merges the
     derived ``(head row, support key)`` pairs and the counters serially
-    in submission order.  The engine calls it inline on its own store and
-    process workers call it on their replicas (:mod:`repro.cylog.procpool`),
-    so both paths do exactly the same work.
+    in submission order.
     """
     rule = compiled.rules[rule_index]
     scratch = EngineStats()
@@ -798,14 +777,11 @@ class SemiNaiveEngine:
     base-fact cardinalities).
 
     With a :class:`~repro.cylog.sharding.ShardConfig` the store is
-    hash-sharded by key prefix, and with ``executor="process"`` each
-    round's (rule, delta shard) tasks ship to a
-    :class:`~repro.cylog.procpool.ProcessExecutor` once the round is big
-    enough (``min_parallel_rows``).  Tasks only *read* the store and count
-    work in scratch ``EngineStats``; the engine merges derived tuples,
-    supports and counters serially in submission order, so results are
-    bit-identical at any worker count.  ``close()`` stops the worker
-    processes.
+    hash-sharded by key prefix.  Each round's (rule, delta atom) tasks run
+    inline through :func:`run_rule_task`; tasks only *read* the store and
+    count work in scratch ``EngineStats``, and the engine merges derived
+    tuples, supports and counters serially in submission order, so
+    results are bit-identical to the single store's.
     """
 
     def __init__(
@@ -819,10 +795,6 @@ class SemiNaiveEngine:
         if shard_config is None:
             shard_config = ShardConfig()
         self.shard_config = shard_config
-        #: The process pool (``None``: every task runs inline).  Workers
-        #: cannot see the engine's store: tasks ship as descriptors and
-        #: store mutations stream to worker replicas via ``_unsynced``.
-        self._pool = shard_config.build_pool()
         self._plan_shards = shard_config.plan_shards
         self._interval_enabled = shard_config.interval
         if isinstance(program, CompiledProgram):
@@ -875,26 +847,21 @@ class SemiNaiveEngine:
         #: triggers, re-derivation, per-group aggregates) — folded into
         #: every store the engine builds, on top of the compiled specs.
         self._extra_repartitions: dict[str, set[int]] = {}
-        #: Net store mutations not yet streamed to process workers,
-        #: partitioned by (predicate, primary shard) at mutation time so
-        #: flushes ship per-worker slices (``None`` without a pool).
-        self._unsynced = self._new_unsynced() if self._pool is not None else None
         #: Observed write rates (EWMA of net delta rows per run, per
         #: predicate) feeding the write-aware exchange cost model, and the
         #: rates the active plans were compiled against.
         self._write_rates: dict[str, float] = {}
         self._planned_write_rates: dict[str, float] = {}
-        #: Engine-side interval hierarchy indexes, one per eligible
-        #: transitive-closure head (never shipped to worker replicas:
-        #: interval-answered strata do not dispatch).  ``_interval_seen``
-        #: remembers each index's cumulative scan/renumber counters at the
-        #: last stats fold, so engine stats absorb exact increments.
+        #: Interval hierarchy indexes, one per eligible transitive-closure
+        #: head.  ``_interval_seen`` remembers each index's cumulative
+        #: scan/renumber counters at the last stats fold, so engine stats
+        #: absorb exact increments.
         self._interval: dict[str, IntervalHierarchyIndex] = {}
         self._interval_seen: dict[str, tuple[int, int]] = {}
         self.stats = EngineStats()
         self.runs = 0  # full evaluations performed (observability for benches)
 
-    # -- sharding / executor plumbing --------------------------------------
+    # -- sharding plumbing -------------------------------------------------
     def _new_store(self):
         from repro.cylog.sharding import build_store
 
@@ -926,108 +893,12 @@ class SemiNaiveEngine:
                     atom.predicate, step.exchange_position
                 )
 
-    # -- process-worker replica sync ---------------------------------------
-    def _new_unsynced(self):
-        from repro.cylog.sharding import PartitionedLedger
-
-        return PartitionedLedger(self.shard_config.shards)
-
-    def _note_add(self, predicate: str, row: Tuple_) -> None:
-        if self._unsynced is not None:
-            self._unsynced.add(predicate, row)
-
-    def _note_remove(self, predicate: str, row: Tuple_) -> None:
-        if self._unsynced is not None:
-            self._unsynced.remove(predicate, row)
-
-    def _partition_provider(
-        self, store: RelationStore
-    ) -> "Callable[[str, int], tuple[int, tuple] | None]":
-        """``(arity, rows)`` of one (predicate, primary shard) partition,
-        read authoritatively from ``store`` (``None`` when the relation
-        does not exist) — the source for lazy replica backfills.  Only
-        consulted at dispatch time, right after a flush, so the store and
-        the synced replica state agree."""
-        n_shards = self.shard_config.shards
-
-        def provider(predicate: str, shard: int) -> tuple | None:
-            relation = store.maybe(predicate)
-            if relation is None:
-                return None  # replicas must also lack it (existence parity)
-            if n_shards > 1:
-                rows = tuple(relation.shard(shard))  # type: ignore[union-attr]
-            else:
-                rows = tuple(relation) if shard == 0 else ()
-            return relation.arity, rows
-
-        return provider
-
-    def _reset_workers(self, store: RelationStore) -> None:
-        """Install a fresh baseline in the process workers (full run)."""
-        if self._unsynced is None:
-            return
-        arities = {
-            predicate: self._base_arity[predicate]
-            for predicate, rows in self._base_facts.items()
-            if rows
-        }
-        self._pool.reset(  # type: ignore[union-attr]
-            self._active,
-            arities,
-            n_shards=self.shard_config.shards,
-            partition_provider=self._partition_provider(store),
-        )
-        self._unsynced = self._new_unsynced()
-
-    def _flush_sync(self) -> None:
-        """Stream accumulated mutations to worker replicas (pre-dispatch).
-
-        ``sync_rows`` counts the net rows flushed and ``sync_bytes`` the
-        canonical payload size the pool reports — both are functions
-        of the mutation stream alone, identical at any worker count (what
-        each *worker* actually receives is the executor's telemetry).
-        """
-        if self._unsynced:
-            added, removed = self._unsynced.as_partition_mappings()
-            self.stats.sync_rows += self._unsynced.row_count()
-            self.stats.sync_bytes += self._pool.sync(  # type: ignore[union-attr]
-                added, removed
-            )
-            self._unsynced = self._new_unsynced()
-
     def _new_supports(self) -> SupportIndex:
         if self.shard_config.sharded:
             return ShardedSupportIndex(
                 self.shard_config.shards, budget=self._support_budget
             )
         return SupportIndex(budget=self._support_budget)
-
-    def _demote_to_serial(self) -> None:
-        """Permanently fall back to inline evaluation after the process
-        pool broke (a worker died mid-dispatch).
-
-        The engine store was authoritative all along — replicas were
-        read-only mirrors — so no state is lost; the engine simply stops
-        shipping tasks and syncs.  ``shard_config`` keeps describing the
-        requested layout for observability.
-        """
-        try:
-            self._pool.close()  # type: ignore[union-attr]
-        except Exception:
-            pass  # the pool is already broken; closing is best-effort
-        self._pool = None
-        self._unsynced = None
-
-    def close(self) -> None:
-        """Stop the process pool's workers (no-op when serial)."""
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "SemiNaiveEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- fact management ---------------------------------------------------
     def add_facts(self, predicate: str, rows: Iterable[Tuple_]) -> int:
@@ -1090,8 +961,6 @@ class SemiNaiveEngine:
             result = self._incremental_run()
         self.stats.supports_evicted = self._evicted_base + self._supports.evicted
         self.stats.tuples_copied = self._copied_base + self._store.tuples_copied()
-        if self._pool is not None:
-            self.stats.replica_backfills = self._pool.telemetry()["replica_backfills"]
         return result
 
     def facts(self, predicate: str) -> frozenset:
@@ -1206,11 +1075,10 @@ class SemiNaiveEngine:
     def _replan_for_writes(self) -> None:
         """Mid-stream replan when observed write rates cross a break-even.
 
-        Recompiles against the live rates, registers any newly promoted
+        Recompiles against the live rates and registers any newly promoted
         repartitions on the live store (demoted ones stay — unused but
-        correct), and ships the new plans to process workers so engine-
-        and worker-side probe counters keep agreeing.  Purely cost-level:
-        fixpoints and reported deltas are unchanged.
+        correct).  Purely cost-level: fixpoints and reported deltas are
+        unchanged.
         """
         if not self._write_replan_due():
             return
@@ -1226,8 +1094,6 @@ class SemiNaiveEngine:
                     self._store.ensure_repartition(  # type: ignore[union-attr]
                         predicate, position
                     )
-        if self._pool is not None:
-            self._pool.replan(self._active)
 
     def _record_plans(self) -> None:
         self.stats.plans = {
@@ -1355,9 +1221,7 @@ class SemiNaiveEngine:
         Eligibility is the compile-time syntactic check
         (:func:`~repro.cylog.safety.detect_interval_specs`); whether the
         edge rows actually form a forest is decided per run by the index
-        monitor.  The indexes live engine-side and are maintained by the
-        serial merge path only, so interval-answered heads never dispatch
-        work to the process pool.
+        monitor.
         """
         if not self._interval_enabled or not self._active.interval_specs:
             return ()
@@ -1378,9 +1242,7 @@ class SemiNaiveEngine:
         self, head: str, index: IntervalHierarchyIndex, stats: EngineStats
     ) -> None:
         """Fold the index's cumulative counters into ``stats`` as exact
-        increments since the last fold.  Index maintenance is engine-side
-        serial work, so the folded counters are identical at any worker
-        count on any executor."""
+        increments since the last fold."""
         seen_scans, seen_renumbers = self._interval_seen.get(head, (0, 0))
         stats.interval_scans += index.scans - seen_scans
         stats.interval_renumbers += index.renumbers - seen_renumbers
@@ -1410,7 +1272,6 @@ class SemiNaiveEngine:
             for row in index.pairs():
                 if relation.add(row):
                     stats.tuples_derived += 1
-                    self._note_add(spec.head, row)
         self._interval_fold_stats(spec.head, index, stats)
         return answered
 
@@ -1517,21 +1378,19 @@ class SemiNaiveEngine:
         removed_out: list[Tuple_],
         added_out: list[Tuple_],
     ) -> None:
-        """Apply one interval-computed closure delta to the store, the run
-        report and the worker-replica sync stream, in sorted order so the
-        reported counters are deterministic."""
+        """Apply one interval-computed closure delta to the store and the
+        run report, in sorted order so the reported counters are
+        deterministic."""
         relation = store.get(spec.head, 2)
         for row in sorted(removed, key=repr):
             if relation.discard(row):
                 stats.tuples_retracted += 1
                 sink.remove(spec.head, row)
-                self._note_remove(spec.head, row)
                 removed_out.append(row)
         for row in sorted(added, key=repr):
             if relation.add(row):
                 stats.tuples_derived += 1
                 sink.add(spec.head, row)
-                self._note_add(spec.head, row)
                 added_out.append(row)
 
     # -- aggregate maintenance ---------------------------------------------
@@ -1721,44 +1580,6 @@ class SemiNaiveEngine:
         if self._supports.add(predicate, row, key):
             (stats if stats is not None else self.stats).supports_recorded += 1
 
-    # -- task fan-out ------------------------------------------------------
-    def _run_tasks(
-        self, store: RelationStore, jobs: Sequence[_Task], pooled: bool
-    ) -> list[tuple[list[tuple[Tuple_, SupportKey]], EngineStats]]:
-        """Evaluate ``jobs`` through :func:`run_rule_task`, results in
-        submission order: on the process pool when ``pooled`` (and there
-        is more than one job to spread), inline against ``store``
-        otherwise.  Pool dispatch first streams the unsynced store
-        mutations to the worker replicas and ships each delta partition
-        as a row tuple."""
-        if pooled and len(jobs) > 1:
-            from repro.cylog.procpool import ProcessPoolBrokenError
-
-            self._flush_sync()
-            try:
-                return self._pool.run_rule_tasks(  # type: ignore[union-attr]
-                    [
-                        (
-                            rule_index,
-                            position,
-                            shard_id,
-                            None if delta is None else tuple(delta),
-                        )
-                        for rule_index, position, shard_id, delta in jobs
-                    ]
-                )
-            except ProcessPoolBrokenError:
-                # A worker died mid-dispatch.  The replicas only ever
-                # mirrored the engine store, so the same tasks re-run
-                # inline against it are equivalent; this and every later
-                # round run inline.
-                self._demote_to_serial()
-        compiled = self._active
-        return [
-            run_rule_task(compiled, store, rule_index, position, delta)
-            for rule_index, position, _, delta in jobs
-        ]
-
     def _semi_naive_rounds(
         self,
         store: RelationStore,
@@ -1773,19 +1594,13 @@ class SemiNaiveEngine:
         whose predicate has a delta; new head tuples feed the next round
         (and ``changes``, when the caller is tracking a run report).
 
-        Each round builds one task per (rule, delta atom).  When the round
-        is big enough to pay for pool dispatch, a sharded engine splits
-        each task further into per-shard delta partitions, aligned on the
-        next probe's shard routing key when the delta plan has one
-        (``JoinPlan.route_position``), so every task probes a single
-        target shard.  Derived tuples merge serially in task order.
+        Each round builds one task per (rule, delta atom).  Every task is
+        evaluated against the pre-round store before any result merges;
+        derived tuples then merge serially in task order.
         """
         if stats is None:
             stats = self.stats
-        n_shards = self.shard_config.shards
-        if n_shards > 1:
-            from repro.cylog.sharding import split_rows_by_shard
-        rules = self._active.rules
+        compiled = self._active
         while delta:
             stats.rounds += 1
             delta_relations = {
@@ -1793,10 +1608,6 @@ class SemiNaiveEngine:
                 for predicate, rows in delta.items()
                 if rows
             }
-            pooled = self._pool is not None and (
-                sum(len(rows) for rows in delta.values())
-                >= self.shard_config.min_parallel_rows
-            )
             jobs: list[_Task] = []
             for rule_index, rule in plain_rules:
                 for position, step in enumerate(rule.join_plan.steps):
@@ -1805,35 +1616,24 @@ class SemiNaiveEngine:
                         continue
                     if literal.predicate not in delta_relations:
                         continue
-                    delta_rel = delta_relations[literal.predicate]
                     stats.rules_fired += 1
-                    if pooled and n_shards > 1 and len(delta_rel) > 1:
-                        route = rule.delta_plans[position].route_position or 0
-                        for shard_id, rows in split_rows_by_shard(
-                            delta_rel, n_shards, route
-                        ):
-                            jobs.append(
-                                (
-                                    rule_index,
-                                    position,
-                                    shard_id,
-                                    _relation_from(rows, delta_rel),
-                                )
-                            )
-                    else:
-                        jobs.append((rule_index, position, None, delta_rel))
-            results = self._run_tasks(store, jobs, pooled)
+                    jobs.append(
+                        (rule_index, position, delta_relations[literal.predicate])
+                    )
+            results = [
+                run_rule_task(compiled, store, rule_index, position, delta_rel)
+                for rule_index, position, delta_rel in jobs
+            ]
             next_delta: dict[str, set[Tuple_]] = {}
             for (rule_index, *_), (derived, scratch) in zip(jobs, results):
                 stats.absorb(scratch)
-                rule = rules[rule_index]
+                rule = compiled.rules[rule_index]
                 head_pred = rule.rule.head.predicate
                 relation = store.get(head_pred, rule.rule.head.arity)
                 for row, support in derived:
                     self._record(head_pred, row, support, stats)
                     if relation.add(row):
                         stats.tuples_derived += 1
-                        self._note_add(head_pred, row)
                         next_delta.setdefault(head_pred, set()).add(row)
                         if changes is not None:
                             changes.add(head_pred, row)
@@ -1858,13 +1658,10 @@ class SemiNaiveEngine:
             relation = store.get(predicate, len(next(iter(rows))))
             for row in rows:
                 relation.add(row)
-        # Head relations exist (empty) from the start, exactly as on the
-        # process workers' replicas, so probe counters agree on both sides.
+        # Head relations exist (empty) from the start, so a run that
+        # derives nothing still reports them.
         for rule in self._active.rules:
             store.get(rule.rule.head.predicate, rule.rule.head.arity)
-        # Worker replicas restart from exactly these base facts; everything
-        # derived below streams to them through the unsynced ledger.
-        self._reset_workers(store)
         for info in self._strata:
             self._eval_stratum_full(store, info, self.stats)
         self._store = store
@@ -1895,7 +1692,6 @@ class SemiNaiveEngine:
                 self._record(head_pred, row, support, stats)
                 if relation.add(row):
                     stats.tuples_derived += 1
-                    self._note_add(head_pred, row)
         # Interval-eligible closure heads are answered straight from the
         # hierarchy index when their edge rows form a forest: one range
         # scan per node instead of one join round per level, and their
@@ -1905,15 +1701,15 @@ class SemiNaiveEngine:
             if self._interval_answer_full(store, spec, stats):
                 skip = (spec.base_rule, spec.recursive_rule)
                 plain = tuple((i, r) for i, r in plain if i not in skip)
-        # Round 0: full evaluation of each rule.  Solutions are materialised
-        # before insertion because recursive rules scan the very relation
-        # they derive into; on a process pool the rules evaluate
-        # concurrently and merge in rule order.
-        results = self._run_tasks(
-            store,
-            [(rule_index, None, None, None) for rule_index, _ in plain],
-            self._pool is not None,
-        )
+        # Round 0: full evaluation of each rule.  Every rule's solutions
+        # are materialised before any insertion, because recursive rules
+        # scan the very relation they derive into; results merge in rule
+        # order.
+        compiled = self._active
+        results = [
+            run_rule_task(compiled, store, rule_index, None, None)
+            for rule_index, _ in plain
+        ]
         delta: dict[str, set[Tuple_]] = {}
         for (rule_index, rule), (derived, scratch) in zip(plain, results):
             stats.absorb(scratch)
@@ -1924,7 +1720,6 @@ class SemiNaiveEngine:
                 self._record(head_pred, row, support, stats)
                 if relation.add(row):
                     stats.tuples_derived += 1
-                    self._note_add(head_pred, row)
                     delta.setdefault(head_pred, set()).add(row)
         self._semi_naive_rounds(store, plain, delta, stats=stats)
 
@@ -1945,7 +1740,6 @@ class SemiNaiveEngine:
                 if relation is not None and relation.discard(row):
                     self.stats.tuples_retracted += 1
                     changes.remove(predicate, row)
-                    self._note_remove(predicate, row)
             added = pending.added(predicate)
             if added:
                 # store.get re-validates arity, so a row that slipped past
@@ -1954,7 +1748,6 @@ class SemiNaiveEngine:
                 for row in added:
                     if relation.add(row):
                         changes.add(predicate, row)
-                        self._note_add(predicate, row)
         for info in self._strata:
             self._step_stratum(store, info, changes, self.stats)
         added_map, removed_map = changes.as_mappings()
@@ -1988,7 +1781,6 @@ class SemiNaiveEngine:
             before[predicate] = rows
             for row in rows:
                 relation.discard(row)
-                self._note_remove(predicate, row)
                 self._supports.discard_tuple(predicate, row)
         for rule_index, rule in info.aggregates:
             cached = self._agg_cache.pop(rule_index, None)
@@ -2143,7 +1935,6 @@ class SemiNaiveEngine:
         scheduler.run()
         for predicate, row in scheduler.deleted:
             changes.remove(predicate, row)
-            self._note_remove(predicate, row)
         # Phase B': re-derivation.  Over-deleted tuples of the recursive
         # component are restored when still derivable from what survived;
         # the addition propagation below rebuilds everything downstream.
@@ -2177,7 +1968,6 @@ class SemiNaiveEngine:
                 store.get(predicate, len(row)).add(row)
                 stats.tuples_rederived += 1
                 changes.add(predicate, row)
-                self._note_add(predicate, row)
                 rederived.setdefault(predicate, set()).add(row)
         # Phase C: additions.  Seeds: net-added input tuples, aggregate
         # additions, re-derived tuples and negation-loss derivations.
@@ -2211,7 +2001,6 @@ class SemiNaiveEngine:
             if relation.add(row):
                 stats.tuples_derived += 1
                 changes.add(head_pred, row)
-                self._note_add(head_pred, row)
                 if head_pred in info.referenced:
                     delta.setdefault(head_pred, set()).add(row)
         for rule_index, rule, negation in info.negations:
@@ -2237,7 +2026,6 @@ class SemiNaiveEngine:
                 if relation.add(row):
                     stats.tuples_derived += 1
                     changes.add(head_pred, row)
-                    self._note_add(head_pred, row)
                     if head_pred in info.referenced:
                         delta.setdefault(head_pred, set()).add(row)
         self._semi_naive_rounds(store, plain, delta, changes, stats=stats)

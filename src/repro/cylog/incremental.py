@@ -325,8 +325,7 @@ class ShardedSupportIndex(SupportIndex):
     (first position), with patterns whose prefix is itself anonymous in a
     catch-all bucket: a retracted row can only match patterns in its own
     shard or the catch-all, so the scan touches ~1/N of the patterns.
-    This is where sharding pays off on retraction-heavy churn, with or
-    without a process pool.
+    This is where sharding pays off on retraction-heavy churn.
     """
 
     def __init__(

@@ -59,13 +59,12 @@ class CyLogProcessor:
     """Interprets one CyLog project description (paper §2.1).
 
     ``config`` (a :class:`repro.config.RuntimeConfig`) selects a
-    hash-sharded relation store, a process pool and a support-index
-    memory budget for the underlying engine; results are identical to the
-    default single-store serial configuration — the shard-diff CI oracle
-    gates on it.  (The PR-6 ``shard_config=`` spelling has been removed;
-    engine-level code can still hand a raw
+    hash-sharded relation store and a support-index memory budget for
+    the underlying engine; results are identical to the default
+    single-store configuration — the shard-diff CI oracle gates on it.
+    Engine-level code can hand a raw
     :class:`~repro.cylog.sharding.ShardConfig` to
-    :class:`~repro.cylog.engine.SemiNaiveEngine` directly.)
+    :class:`~repro.cylog.engine.SemiNaiveEngine` directly.
     """
 
     def __init__(
@@ -100,10 +99,6 @@ class CyLogProcessor:
     @property
     def program(self) -> Program:
         return self.compiled.program
-
-    def close(self) -> None:
-        """Stop the engine's worker processes (no-op when serial)."""
-        self.engine.close()
 
     # -- observers -----------------------------------------------------------
     def add_demand_listener(self, listener: DemandListener) -> None:

@@ -111,18 +111,9 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class JoinPlan:
-    """An ordered sequence of :class:`PlanStep` for one rule body.
-
-    ``route_position`` is only set on delta-first plans: the term position
-    of the *leading delta atom* that binds the next probe's shard routing
-    key.  The engine partitions delta rows by it
-    (:func:`~repro.cylog.sharding.split_rows_by_shard`), so each
-    per-(rule, target-shard) task probes a single shard — the exchange
-    operator's task-alignment half.
-    """
+    """An ordered sequence of :class:`PlanStep` for one rule body."""
 
     steps: tuple[PlanStep, ...]
-    route_position: int | None = field(default=None, compare=False)
 
     @property
     def literals(self) -> tuple[BodyLiteral, ...]:
@@ -494,50 +485,6 @@ def build_join_plan(
     return JoinPlan(tuple(steps)), bound
 
 
-def delta_route_position(plan: JoinPlan) -> int | None:
-    """The leading-atom term position that binds the first probe's shard
-    routing key, or ``None`` when the probes cannot be shard-aligned.
-
-    For a delta-first plan the leading atom is the delta; its rows are the
-    binding source for every later probe.  When the first keyed atom probe
-    routes — on the shard key prefix or through an exchange repartition —
-    and its routing term is a variable the leading atom binds, partitioning
-    the delta rows on that variable's position makes every probe of one
-    partition land on a single target shard.  Purely a performance
-    alignment: any partition of the delta is correct.
-    """
-    steps = plan.steps
-    if not steps or not isinstance(steps[0].literal, Atom):
-        return None
-    lead = steps[0].literal
-    for step in steps[1:]:
-        literal = step.literal
-        if isinstance(literal, Negation):
-            atom = literal.atom
-        elif isinstance(literal, Atom):
-            atom = literal
-        else:
-            continue  # comparisons/assignments neither probe nor bind rows
-        if not step.index_positions:
-            return None  # a full scan cannot be shard-aligned
-        if 0 in step.index_positions:
-            route_term = atom.terms[0]
-        elif step.exchange_position is not None:
-            route_term = atom.terms[step.exchange_position]
-        else:
-            return None  # chained probe touches every shard anyway
-        if isinstance(route_term, Var) and not route_term.is_anonymous:
-            for position, term in enumerate(lead.terms):
-                if (
-                    isinstance(term, Var)
-                    and not term.is_anonymous
-                    and term.name == route_term.name
-                ):
-                    return position
-        return None  # constant key or a variable the delta does not bind
-    return None
-
-
 def program_cardinalities(program: Program) -> dict[str, float]:
     """Base cardinality estimates from the facts in the program text."""
     counts: dict[str, float] = {}
@@ -842,10 +789,6 @@ def compile_program(
                 shards=shards,
                 write_rates=write_rates,
             )
-            if shards > 1:
-                delta_plan = replace(
-                    delta_plan, route_position=delta_route_position(delta_plan)
-                )
             delta_plans[position] = delta_plan
         seed_plans: list[SeedPlan] = []
         for literal in rule.body:
@@ -919,7 +862,6 @@ def _mark_interval(compiled: CompiledRule) -> CompiledRule:
         return replace(
             plan,
             steps=tuple(replace(step, interval=True) for step in plan.steps),
-            route_position=plan.route_position,
         )
 
     return replace(

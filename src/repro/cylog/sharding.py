@@ -1,6 +1,6 @@
-"""Hash-sharded relation storage and the engine's shard/executor layout.
+"""Hash-sharded relation storage and the engine's shard layout.
 
-This module is the engine's concurrency story, in three pieces:
+This module is the engine's partitioning story, in two pieces:
 
 * :class:`ShardedRelation` / :class:`ShardedRelationStore` — drop-in
   replacements for :class:`~repro.cylog.engine.Relation` /
@@ -9,8 +9,7 @@ This module is the engine's concurrency story, in three pieces:
   process-independent :func:`~repro.cylog.indexes.stable_hash`).  Each
   shard keeps its own tuple set and its own incrementally maintained
   :class:`~repro.cylog.indexes.MultiKeyHashIndex` family, so lookups whose
-  index key covers position 0 probe exactly one shard and delta
-  propagation can be partitioned shard-by-shard.  ``snapshot()`` unions
+  index key covers position 0 probe exactly one shard.  ``snapshot()`` unions
   the shards, so a sharded store is *byte-identical* to the single store
   it replaces — the property the ``shard-diff`` CI oracle gates on — and
   ``fingerprint()`` / ``shard_fingerprints()`` give stable digests for
@@ -26,48 +25,22 @@ This module is the engine's concurrency story, in three pieces:
   (``PlanStep.exchange_position`` / ``CompiledProgram.repartition_specs``
   in :mod:`repro.cylog.safety`), weighing the duplicate-copy maintenance
   cost against the per-probe chained-lookup cost; both sides of a
-  non-prefix join then align on the same shard of the join key, which is
-  also what lets per-(rule, target-shard) evaluation tasks ship one
-  partition each to process workers.
+  non-prefix join then align on the same shard of the join key.
 
-* **Where tasks run** — ``ShardConfig.executor`` is ``"serial"`` (every
-  task runs inline against the engine's store) or ``"process"`` (a
-  :class:`~repro.cylog.procpool.ProcessExecutor` ships picklable task
-  descriptors to worker processes holding replica stores, GIL-free).
-  Both paths evaluate a task through the same runner,
-  :func:`~repro.cylog.engine.run_rule_task`, and the engine merges the
-  results serially in submission order, so evaluation results (and the
-  derivation counters in ``EngineStats``) are identical at any worker
-  count.  Tiny rounds stay inline via ``ShardConfig.min_parallel_rows`` —
-  the fan-out must never cost more than it saves on the small-delta
-  churn the incremental engine is optimised for.
+Evaluation tasks always run inline against the engine's store, through
+:func:`~repro.cylog.engine.run_rule_task`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Iterable,
-    Iterator,
-    Mapping,
-    Sequence,
-)
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from repro.cylog.ast import Atom, BodyLiteral, Negation
 from repro.cylog.engine import Relation, RelationStore
 from repro.cylog.indexes import stable_hash
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cylog.procpool import ProcessExecutor
-    from repro.cylog.safety import CompiledProgram
-
 Tuple_ = tuple[Any, ...]
-
-EXECUTORS = ("serial", "process")
 
 
 def shard_of_value(value: Any, n_shards: int) -> int:
@@ -91,12 +64,9 @@ def shard_of(row: Sequence[Any], n_shards: int, position: int = 0) -> int:
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """How an engine shards its store and where evaluation tasks run.
+    """How an engine shards its store.
 
-    ``min_parallel_rows`` keeps small rounds inline: the process pool is
-    only engaged when the driving delta carries at least this many rows,
-    so steady-state churn (a handful of facts per round) never pays
-    dispatch overhead.
+    ``shards`` is the number of hash partitions (1: the single store).
 
     ``exchange`` enables the exchange operator: the join planner may emit
     repartition steps for probes whose index key misses the shard key
@@ -109,37 +79,18 @@ class ShardConfig:
     transitive-closure strata are answered from an engine-side
     :class:`~repro.cylog.indexes.IntervalHierarchyIndex` (single range
     scans) instead of fixpoint joins, whenever the edge relation is a
-    forest at run time.  The index lives beside the engine and bypasses
-    worker replicas entirely — interval-answered strata never dispatch to
-    the pool — so the flag composes with every executor.
-    Disabling it keeps the fixpoint behaviour (the A/B knob the E13 bench
-    and the interval diff-oracle legs use).  Either way results are
-    bit-identical.
+    forest at run time.  Disabling it keeps the fixpoint behaviour (the
+    A/B knob the E13 bench and the interval diff-oracle legs use).  Either
+    way results are bit-identical.
     """
 
     shards: int = 1
-    executor: str = "serial"
-    max_workers: int | None = None
-    min_parallel_rows: int = 64
     exchange: bool = True
     interval: bool = True
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected one of {EXECUTORS}"
-            )
-
-    def build_pool(self) -> "ProcessExecutor | None":
-        """The process pool tasks dispatch to, or ``None`` when every task
-        runs inline (the serial executor)."""
-        if self.executor != "process":
-            return None
-        from repro.cylog.procpool import ProcessExecutor
-
-        return ProcessExecutor(self.max_workers or 4)
 
     @property
     def sharded(self) -> bool:
@@ -203,9 +154,6 @@ class ShardedRelation:
 
     def shard_of(self, row: Tuple_) -> int:
         return shard_of(row, self.n_shards)
-
-    def shard(self, shard_id: int) -> Relation:
-        return self._shards[shard_id]
 
     def shard_sizes(self) -> tuple[int, ...]:
         return tuple(len(shard) for shard in self._shards)
@@ -392,7 +340,7 @@ class ShardedRelationStore(RelationStore):
         return tuple(
             fingerprint_snapshot(
                 {
-                    name: rel.shard(shard_id).snapshot()
+                    name: frozenset(rel._shards[shard_id])
                     for name, rel in self._relations.items()
                 }
             )
@@ -408,7 +356,7 @@ def fingerprint_snapshot(snapshot: Mapping[str, frozenset]) -> str:
 
     Rows are serialised by ``repr`` and sorted, so two stores agree on the
     fingerprint exactly when their snapshots are byte-identical —
-    regardless of sharding, worker count or hash randomisation.
+    regardless of sharding or hash randomisation.
     """
     digest = hashlib.sha256()
     for predicate in sorted(snapshot):
@@ -418,27 +366,6 @@ def fingerprint_snapshot(snapshot: Mapping[str, frozenset]) -> str:
             digest.update(repr(row).encode("utf-8"))
             digest.update(b"\x01")
     return digest.hexdigest()
-
-
-def split_rows_by_shard(
-    rows: Iterable[Tuple_], n_shards: int, position: int = 0
-) -> list[tuple[int, set[Tuple_]]]:
-    """Partition ``rows`` into per-shard sets, ascending shard id.
-
-    ``position`` selects the routing value — 0 is the primary key-prefix
-    partition; a delta-first plan whose next probe routes on a join key
-    bound at another position of the leading atom splits there instead,
-    so every task's probes land on a single target shard (the exchange
-    operator's task-alignment half).
-
-    Empty shards are omitted, so fanning a delta out produces only tasks
-    with actual work.  The partition is a pure function of the rows, so
-    the engine's merge order (shard id order) is deterministic.
-    """
-    parts: dict[int, set[Tuple_]] = {}
-    for row in rows:
-        parts.setdefault(shard_of(row, n_shards, position), set()).add(row)
-    return sorted(parts.items())
 
 
 def build_store(
@@ -454,150 +381,3 @@ def build_store(
             repartition_specs if config.exchange else None,
         )
     return RelationStore(index_specs)
-
-
-# ---------------------------------------------------------------------------
-# Partition coverage and the partitioned sync ledger
-# ---------------------------------------------------------------------------
-#
-# The two building blocks of shard-pruned worker replicas
-# (:mod:`repro.cylog.procpool`): :func:`probe_partitions` computes which
-# (relation, primary shard) partitions one evaluation task can read, and
-# the :class:`PartitionedLedger` records engine mutations already split
-# into those partitions.
-
-
-def _probed_atom(literal: BodyLiteral) -> Atom | None:
-    """The atom a plan step reads from the store, if any (comparisons and
-    assignments filter bindings without touching relations)."""
-    if isinstance(literal, Negation):
-        return literal.atom
-    if isinstance(literal, Atom):
-        return literal
-    return None
-
-
-def probe_partitions(
-    compiled: "CompiledProgram",
-    n_shards: int,
-    rule_index: int,
-    position: int | None,
-    delta_shard: int | None = None,
-) -> set[tuple[str, int]]:
-    """The exact set of (predicate, primary shard) partitions the probes
-    of one evaluation task can touch.
-
-    A task is ``(rule_index, position, delta_shard)`` exactly as shipped
-    to process workers: ``position`` is ``None`` for a round-0 full
-    evaluation (every body atom is scanned — all partitions of every
-    probed predicate), else the plan position whose semi-naive delta
-    drives the join.  The delta rows themselves travel with the task, so
-    the leading delta atom is never read from the replica.
-
-    Pruning comes from shard alignment: when the delta plan has a
-    ``route_position`` (the engine partitioned delta rows by it) and the
-    plan's first keyed probe routes on the shard key prefix via that same
-    variable, every probe key's position-0 value hashes to
-    ``delta_shard`` — only that one partition of the probed predicate is
-    reachable.  Probes through exchange repartitions stay conservative:
-    a repartition shard re-hashes rows drawn from *every* primary
-    partition, so the worker must hold them all to rebuild it.  All
-    later probes take their keys from join bindings and may land
-    anywhere.
-    """
-    rule = compiled.rules[rule_index]
-    needed: set[tuple[str, int]] = set()
-
-    def need_all(predicate: str) -> None:
-        needed.update((predicate, shard) for shard in range(n_shards))
-
-    if position is None:
-        for step in rule.join_plan.steps:
-            atom = _probed_atom(step.literal)
-            if atom is not None:
-                need_all(atom.predicate)
-        return needed
-
-    plan = rule.delta_plans[position]
-    prune_first = (
-        n_shards > 1 and delta_shard is not None and plan.route_position is not None
-    )
-    first_probe = True
-    for step in plan.steps[1:]:
-        atom = _probed_atom(step.literal)
-        if atom is None:
-            continue
-        # ``route_position`` is derived from the first probe: with 0 in
-        # the index key it is prefix-aligned (only ``delta_shard``
-        # reachable); an exchange-routed first probe reads a repartition
-        # rebuilt from every primary partition, so no pruning.
-        if first_probe and prune_first and 0 in step.index_positions:
-            needed.add((atom.predicate, delta_shard))
-        else:
-            need_all(atom.predicate)
-        first_probe = False
-    return needed
-
-
-class PartitionedLedger:
-    """Net added/removed rows keyed by ``(predicate, primary shard)``.
-
-    The distributed engine's unsynced-mutation ledger: rows are routed to
-    their primary partition **at mutation time** (``shard_of`` on
-    position 0), so flushing to process workers can ship each worker only
-    the partitions it subscribes to instead of one broadcast blob.
-    ``add`` and ``remove`` cancel each other exactly like
-    :class:`~repro.cylog.incremental.DeltaLedger`, leaving the net
-    difference against the workers' last-synced state.
-    """
-
-    __slots__ = ("n_shards", "_added", "_removed")
-
-    def __init__(self, n_shards: int = 1) -> None:
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        self._added: dict[tuple[str, int], set[Tuple_]] = {}
-        self._removed: dict[tuple[str, int], set[Tuple_]] = {}
-
-    def add(self, predicate: str, row: Tuple_) -> None:
-        key = (predicate, shard_of(row, self.n_shards))
-        removed = self._removed.get(key)
-        if removed is not None and row in removed:
-            removed.discard(row)
-            if not removed:
-                del self._removed[key]
-            return
-        self._added.setdefault(key, set()).add(row)
-
-    def remove(self, predicate: str, row: Tuple_) -> None:
-        key = (predicate, shard_of(row, self.n_shards))
-        added = self._added.get(key)
-        if added is not None and row in added:
-            added.discard(row)
-            if not added:
-                del self._added[key]
-            return
-        self._removed.setdefault(key, set()).add(row)
-
-    def __bool__(self) -> bool:
-        return bool(self._added or self._removed)
-
-    def row_count(self) -> int:
-        """Net rows awaiting sync (adds plus removes) — the engine-side
-        ``sync_rows`` telemetry, identical at any worker count."""
-        return sum(len(rows) for rows in self._added.values()) + sum(
-            len(rows) for rows in self._removed.values()
-        )
-
-    def as_partition_mappings(
-        self,
-    ) -> tuple[
-        dict[tuple[str, int], frozenset], dict[tuple[str, int], frozenset]
-    ]:
-        """Immutable (added, removed) partition-keyed views for
-        ``ProcessExecutor.sync``."""
-        return (
-            {key: frozenset(rows) for key, rows in self._added.items() if rows},
-            {key: frozenset(rows) for key, rows in self._removed.items() if rows},
-        )

@@ -274,9 +274,7 @@ class TestShardedPlatform:
 
     def test_sharded_rounds_match_single_store(self):
         single = self._populated()
-        sharded = self._populated(
-            config=RuntimeConfig(shards=4, executor="process", max_workers=2)
-        )
+        sharded = self._populated(config=RuntimeConfig(shards=4))
         try:
             for _ in range(3):
                 # cross_check runs the built-in eligibility oracle too.

@@ -3,6 +3,10 @@ of the PR-6 deprecated keyword shims (config= is the only spelling)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.config import RuntimeConfig
@@ -38,8 +42,12 @@ class TestValidation:
             RuntimeConfig(path="/tmp/x")
 
     def test_unknown_executor(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            RuntimeConfig(executor="gpu")
+        # Every task runs inline: the executor knobs are unknown keywords.
+        for kwargs in ({"executor": "gpu"}, {"executor": "serial"}, {"max_workers": 2}):
+            with pytest.raises(TypeError):
+                RuntimeConfig(**kwargs)
+            with pytest.raises(TypeError):
+                RuntimeConfig().with_changes(**kwargs)
 
     def test_bad_shards_and_budget(self):
         with pytest.raises(ValueError, match="shards"):
@@ -48,9 +56,9 @@ class TestValidation:
             RuntimeConfig(support_budget=-1)
 
     def test_with_changes(self):
-        config = RuntimeConfig().with_changes(shards=4, executor="process")
+        config = RuntimeConfig().with_changes(shards=4, exchange=False)
         assert config.shards == 4
-        assert config.to_shard_config().executor == "process"
+        assert config.to_shard_config() == ShardConfig(shards=4, exchange=False)
 
     def test_build_database_durable(self, tmp_path):
         config = RuntimeConfig(backend="wal", path=tmp_path / "d")
@@ -96,9 +104,7 @@ class TestCrowd4UShim:
 
     def test_config_paths_equivalent_across_layouts(self):
         old = Crowd4U(seed=5, config=RuntimeConfig())
-        new = Crowd4U(
-            seed=5, config=RuntimeConfig(shards=2, executor="process", max_workers=2)
-        )
+        new = Crowd4U(seed=5, config=RuntimeConfig(shards=2))
         for platform in (old, new):
             platform.register_worker("ann", self._factors())
             platform.register_project(
@@ -140,7 +146,6 @@ class TestProcessorShim:
             "p(1). q(X) :- p(X).", config=RuntimeConfig(support_budget=7)
         )
         assert processor.engine._support_budget == 7
-        processor.close()
 
     def test_shard_config_kwarg_removed(self):
         with pytest.raises(TypeError):
@@ -149,7 +154,6 @@ class TestProcessorShim:
     def test_config_plumbs_shards(self):
         processor = CyLogProcessor("p(1).", config=RuntimeConfig(shards=2))
         assert processor.engine.shard_config.shards == 2
-        processor.close()
 
 
 class TestRemovedArguments:
@@ -174,12 +178,29 @@ class TestRemovedArguments:
                 build()
 
     def test_thread_executor_removed(self):
-        """Evaluation runs inline or on the process pool; the thread pool
-        is gone from both configuration spellings."""
-        with pytest.raises(ValueError, match="unknown executor"):
-            RuntimeConfig(executor="thread")
-        with pytest.raises(ValueError, match="unknown executor"):
-            ShardConfig(executor="thread")
+        """Evaluation runs inline; neither configuration spelling takes an
+        executor any more."""
+        for config in (RuntimeConfig, ShardConfig):
+            with pytest.raises(TypeError):
+                config(executor="thread")
+            with pytest.raises(TypeError):
+                config(max_workers=2)
+
+    def test_process_pool_not_imported(self):
+        """Importing the platform loads no process-pool machinery."""
+        probe = (
+            "import sys, repro, repro.core.platform; "
+            "print('multiprocessing' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestServingSlice:

@@ -173,15 +173,6 @@ class TestExchangePlanning:
         assert probe.exchange_position is None
         assert probe.chained
 
-    def test_delta_plans_carry_shard_alignment_route(self):
-        compiled = self._compiled(self.JOIN, shards=8)
-        rule = compiled.rules[0]
-        # Delta on left(L, K): the next probe routes on K, bound at
-        # position 1 of the leading delta atom.
-        for position, step in enumerate(rule.join_plan.steps):
-            delta_plan = rule.delta_plans[position]
-            assert delta_plan.route_position == 1, step
-
     def test_ordering_is_shard_independent(self):
         source = "r(X, Z) :- a(X, Y), b(Y, Z), c(Z, X), X != Z."
         cards = {"a": 100.0, "b": 10.0, "c": 1000.0}

@@ -1,17 +1,18 @@
-"""Sharded store, executors and the shard-diff lockstep oracle.
+"""Sharded store, shard layout and the shard-diff lockstep oracle.
 
 The unit tests cover the sharded primitives directly; the hypothesis
 tests (marked ``shard_diff``, run with ``SHARD_DIFF_EXAMPLES=60`` by the
-CI ``shard-diff`` job) drive sharded serial and process-pool engines
-through randomized programs and add/retract streams in lockstep with a
-single-store engine and require byte-identical snapshots after every run
-— the same discipline as the ``engine-diff`` and ``platform-diff``
-oracles.
+CI ``shard-diff`` job) drive sharded engines through randomized programs
+and add/retract streams in lockstep with a single-store engine and
+require byte-identical snapshots, deltas and merge-side counters after
+every run — the same discipline as the ``engine-diff`` and
+``platform-diff`` oracles.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields
 
 import pytest
 from diffgen import (
@@ -24,8 +25,9 @@ from diffgen import (
 )
 from hypothesis import given, settings
 
+import repro.cylog
 from repro.cylog import (
-    ProcessExecutor,
+    EngineStats,
     SemiNaiveEngine,
     ShardConfig,
     ShardedRelationStore,
@@ -33,41 +35,31 @@ from repro.cylog import (
 )
 from repro.cylog.engine import RelationStore, run_rule_task
 from repro.cylog.incremental import ShardedSupportIndex, SupportIndex
-from repro.cylog.sharding import (
-    ShardedRelation,
-    shard_of,
-    split_rows_by_shard,
-)
+from repro.cylog.sharding import ShardedRelation, shard_of
 
 SHARD_EXAMPLES = int(os.environ.get("SHARD_DIFF_EXAMPLES", "15"))
 
-#: Serial configurations, with and without the exchange operator
-#: (``exchange=False`` keeps the chained-lookup fallback and the single
-#: store's plans on non-prefix join keys).
-SERIAL_CONFIGS = (
+#: The configurations the oracle compares against the single store, with
+#: and without the exchange operator (``exchange=False`` keeps the
+#: chained-lookup fallback and the single store's plans on non-prefix
+#: join keys).
+SHARD_CONFIGS = (
     ShardConfig(shards=1),
     ShardConfig(shards=2),
     ShardConfig(shards=8),
     ShardConfig(shards=8, exchange=False),
 )
 
-#: Process-pool configurations: shard-pruned replica stores (each worker
-#: subscribes to the (relation, shard) partitions its task classes probe,
-#: backfilled lazily) synced by the engine's mutation ledger, tasks shipped
-#: as picklable descriptors.
-PROCESS_CONFIGS = (
-    ShardConfig(shards=2, executor="process", max_workers=2, min_parallel_rows=0),
-    ShardConfig(shards=8, executor="process", max_workers=2, min_parallel_rows=0),
-)
 
-#: The configurations the oracle compares against the single store.  The
-#: CI ``shard-diff`` job matrix runs the serial and process suites as
-#: separate entries (``SHARD_DIFF_SUITE``); everything runs by default.
-SHARD_CONFIGS = {
-    "serial": SERIAL_CONFIGS,
-    "process": PROCESS_CONFIGS,
-    "all": SERIAL_CONFIGS + PROCESS_CONFIGS,
-}[os.environ.get("SHARD_DIFF_SUITE", "all")]
+def _merge_counters(stats: EngineStats) -> dict[str, int]:
+    """The counters every shard layout must reproduce exactly: the
+    merge-side derivation counters plus the task and scan counts (one
+    task per (rule, delta atom) per round, whatever the layout)."""
+    return {
+        **stats.derivation_counters(),
+        "shard_tasks": stats.shard_tasks,
+        "full_scans": stats.full_scans,
+    }
 
 
 class TestShardedRelation:
@@ -81,7 +73,10 @@ class TestShardedRelation:
         assert sum(relation.shard_sizes()) == 40
         for row in rows:
             assert row in relation
-            assert row in relation.shard(relation.shard_of(row))
+        expected_sizes = [0] * 4
+        for row in rows:
+            expected_sizes[relation.shard_of(row)] += 1
+        assert relation.shard_sizes() == tuple(expected_sizes)
         assert relation.snapshot() == frozenset(rows)
 
     def test_lookup_routes_on_key_prefix(self):
@@ -140,45 +135,6 @@ class TestShardedRelation:
                 expected = snapshot
             else:
                 assert snapshot == expected
-
-    def test_split_rows_by_shard_partitions(self):
-        rows = {(i, 0) for i in range(50)}
-        parts = split_rows_by_shard(rows, 8)
-        assert [shard for shard, _ in parts] == sorted(shard for shard, _ in parts)
-        recombined: set = set()
-        for shard, chunk in parts:
-            assert all(shard_of(row, 8) == shard for row in chunk)
-            recombined |= chunk
-        assert recombined == rows
-
-    def test_split_rows_by_shard_empty_delta(self):
-        assert split_rows_by_shard(set(), 8) == []
-        assert split_rows_by_shard([], 1) == []
-
-    def test_split_rows_by_shard_single_shard(self):
-        rows = {(i, i + 1) for i in range(20)}
-        parts = split_rows_by_shard(rows, 1)
-        assert parts == [(0, rows)]
-
-    def test_split_rows_by_shard_all_rows_to_one_shard(self):
-        # Identical routing values land every row in one shard — the skew
-        # extreme: one task carries the whole delta, none are empty.
-        rows = {("hot", i) for i in range(30)}
-        parts = split_rows_by_shard(rows, 8)
-        assert len(parts) == 1
-        shard, chunk = parts[0]
-        assert shard == shard_of(("hot", 0), 8)
-        assert chunk == rows
-
-    def test_split_rows_by_shard_position_routes_on_join_key(self):
-        rows = {(i, i % 5) for i in range(40)}
-        parts = split_rows_by_shard(rows, 8, position=1)
-        assert {shard for shard, _ in parts} == {
-            shard_of(row, 8, 1) for row in rows
-        }
-        for shard, chunk in parts:
-            assert all(shard_of(row, 8, 1) == shard for row in chunk)
-        assert set().union(*(chunk for _, chunk in parts)) == rows
 
 
 class TestExchangeRepartition:
@@ -288,11 +244,8 @@ class TestShardedRelationStore:
 
 class TestExecutors:
     def test_serial_preserves_order(self):
-        """The serial executor builds no pool: the engine runs each task
-        inline through the same runner the process workers use, in
+        """The engine runs each task inline through one runner, in
         submission order."""
-        assert ShardConfig().build_pool() is None
-        assert ShardConfig(shards=8).build_pool() is None
         engine = SemiNaiveEngine(
             parse_program("e(1, 2). e(2, 3). a(X) :- e(X, _). b(Y) :- e(_, Y).")
         )
@@ -308,21 +261,25 @@ class TestExecutors:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ShardConfig(shards=0)
-        with pytest.raises(ValueError):
-            ShardConfig(executor="fork")
-        with pytest.raises(ValueError):
-            ShardConfig(executor="thread")
+        assert [f.name for f in fields(ShardConfig)] == [
+            "shards",
+            "exchange",
+            "interval",
+        ]
 
     def test_process_executor_config(self):
-        config = ShardConfig(shards=4, executor="process", max_workers=2)
-        executor = config.build_pool()
-        try:
-            assert isinstance(executor, ProcessExecutor)
-            assert executor.workers == 2
-        finally:
-            executor.close()
-        with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
+        """The process pool is gone: its knobs are unknown keywords."""
+        for removed in (
+            {"executor": "process"},
+            {"executor": "serial"},
+            {"max_workers": 2},
+            {"min_parallel_rows": 0},
+        ):
+            with pytest.raises(TypeError):
+                ShardConfig(shards=4, **removed)
+
+        assert not hasattr(repro.cylog, "ProcessExecutor")
+        assert not hasattr(repro.cylog, "ProcessPoolBrokenError")
 
     def test_plan_shards_follows_exchange_flag(self):
         assert ShardConfig(shards=8).plan_shards == 8
@@ -369,50 +326,43 @@ class TestWriteAwareReplan:
         program = parse_program(self.SOURCE)
         reference = SemiNaiveEngine(program)
         engine = SemiNaiveEngine(program, shard_config=ShardConfig(shards=8))
-        try:
+        for e in (reference, engine):
+            e.add_facts("left", [(i, i % 4) for i in range(4)])
+            e.add_facts("right", [(i, i % 4) for i in range(8)])
+            e.run()
+        # The non-prefix probe on ``right`` starts repartition-routed.
+        assert self._probe_for(engine, "right").exchange_position == 1
+        previous: list = []
+        for round_ in range(5):
+            adds = [(1000 + round_ * 100 + i, i % 4) for i in range(60)]
             for e in (reference, engine):
-                e.add_facts("left", [(i, i % 4) for i in range(4)])
-                e.add_facts("right", [(i, i % 4) for i in range(8)])
-                e.run()
-            # The non-prefix probe on ``right`` starts repartition-routed.
-            assert self._probe_for(engine, "right").exchange_position == 1
-            previous: list = []
-            for round_ in range(5):
-                adds = [(1000 + round_ * 100 + i, i % 4) for i in range(60)]
-                for e in (reference, engine):
-                    e.add_facts("right", adds)
-                    if previous:
-                        e.retract_facts("right", previous)
-                previous = adds
-                expected = reference.run()
-                result = engine.run()
-                assert result.added_rows == expected.added_rows
-                assert result.removed_rows == expected.removed_rows
-                assert engine.store.snapshot() == reference.store.snapshot()
-            # The observed churn on ``right`` crossed the break-even and
-            # the planner dropped its repartitioned copy.
-            assert engine.stats.write_replans >= 1
-            demoted = self._probe_for(engine, "right")
-            assert demoted.exchange_position is None
-            assert demoted.chained
-            assert engine.runs == 1  # every update stayed incremental
-        finally:
-            reference.close()
-            engine.close()
+                e.add_facts("right", adds)
+                if previous:
+                    e.retract_facts("right", previous)
+            previous = adds
+            expected = reference.run()
+            result = engine.run()
+            assert result.added_rows == expected.added_rows
+            assert result.removed_rows == expected.removed_rows
+            assert engine.store.snapshot() == reference.store.snapshot()
+        # The observed churn on ``right`` crossed the break-even and
+        # the planner dropped its repartitioned copy.
+        assert engine.stats.write_replans >= 1
+        demoted = self._probe_for(engine, "right")
+        assert demoted.exchange_position is None
+        assert demoted.chained
+        assert engine.runs == 1  # every update stayed incremental
 
     def test_quiet_stream_never_replans(self):
         program = parse_program(self.SOURCE)
         engine = SemiNaiveEngine(program, shard_config=ShardConfig(shards=8))
-        try:
-            engine.add_facts("left", [(i, i % 4) for i in range(40)])
-            engine.add_facts("right", [(i, i % 4) for i in range(40)])
-            engine.run()
-            engine.add_facts("right", [(100, 0)])
-            engine.run()
-            assert engine.stats.write_replans == 0
-            assert self._probe_for(engine, "right").exchange_position == 1
-        finally:
-            engine.close()
+        engine.add_facts("left", [(i, i % 4) for i in range(40)])
+        engine.add_facts("right", [(i, i % 4) for i in range(40)])
+        engine.run()
+        engine.add_facts("right", [(100, 0)])
+        engine.run()
+        assert engine.stats.write_replans == 0
+        assert self._probe_for(engine, "right").exchange_position == 1
 
 
 def _engine_with(program, config: ShardConfig) -> SemiNaiveEngine:
@@ -442,56 +392,55 @@ def _sync_base(engine: SemiNaiveEngine, program, base: dict[str, set]) -> None:
 @given(stratified_program())
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_sharded_engines_agree_on_fixpoint(source: str):
-    """Every shard/executor configuration lands on the byte-identical
-    fixpoint of the single-store serial engine."""
+    """Every shard configuration lands on the byte-identical fixpoint of
+    the single-store engine, with the same merge-side counters."""
     program = parse_program(source)
     reference = SemiNaiveEngine(program)
     expected = reference.run().relations
     expected_fp = reference.store.fingerprint()
     for config in SHARD_CONFIGS:
         engine = _engine_with(program, config)
-        try:
-            result = engine.run()
-            assert result.relations == expected, config
-            assert engine.store.fingerprint() == expected_fp, config
-        finally:
-            engine.close()
+        result = engine.run()
+        assert result.relations == expected, config
+        assert engine.store.fingerprint() == expected_fp, config
+        assert _merge_counters(engine.stats) == _merge_counters(
+            reference.stats
+        ), config
 
 
 @pytest.mark.shard_diff
 @given(stratified_program(), update_ops)
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_sharded_add_retract_lockstep(source: str, ops):
-    """Randomized add/retract streams run in lockstep on every sharded /
-    process configuration and on the single store; after *every* run the
-    snapshots and the reported deltas must be byte-identical, and no
-    configuration may fall back to a hidden full re-run."""
+    """Randomized add/retract streams run in lockstep on every shard
+    configuration and on the single store; after *every* run the
+    snapshots, the reported deltas and the merge-side counters must be
+    identical, and no configuration may fall back to a hidden full
+    re-run."""
     program = parse_program(source)
     reference = SemiNaiveEngine(program)
     engines = [_engine_with(program, config) for config in SHARD_CONFIGS]
-    try:
-        reference.run()
-        for engine in engines:
-            engine.run()
-        for is_add, predicate, row in ops:
-            for engine in (reference, *engines):
-                if is_add:
-                    engine.add_facts(predicate, [row])
-                else:
-                    engine.retract_facts(predicate, [row])
-            expected = reference.run()
-            expected_snapshot = reference.store.snapshot()
-            for engine, config in zip(engines, SHARD_CONFIGS):
-                result = engine.run()
-                assert engine.store.snapshot() == expected_snapshot, config
-                assert result.added_rows == expected.added_rows, config
-                assert result.removed_rows == expected.removed_rows, config
-        assert reference.runs == 1
-        for engine in engines:
-            assert engine.runs == 1  # every update stayed incremental
-    finally:
-        for engine in engines:
-            engine.close()
+    reference.run()
+    for engine in engines:
+        engine.run()
+    for is_add, predicate, row in ops:
+        for engine in (reference, *engines):
+            if is_add:
+                engine.add_facts(predicate, [row])
+            else:
+                engine.retract_facts(predicate, [row])
+        expected = reference.run()
+        expected_snapshot = reference.store.snapshot()
+        expected_counters = _merge_counters(reference.stats)
+        for engine, config in zip(engines, SHARD_CONFIGS):
+            result = engine.run()
+            assert engine.store.snapshot() == expected_snapshot, config
+            assert result.added_rows == expected.added_rows, config
+            assert result.removed_rows == expected.removed_rows, config
+            assert _merge_counters(engine.stats) == expected_counters, config
+    assert reference.runs == 1
+    for engine in engines:
+        assert engine.runs == 1  # every update stayed incremental
 
 
 @pytest.mark.shard_diff
@@ -501,37 +450,32 @@ def test_sharded_matches_scratch_reload(source: str, ops):
     """After the whole stream, a sharded engine's retained store equals a
     from-scratch single-store evaluation over the same base facts."""
     program = parse_program(source)
-    engine = _engine_with(
-        program, ShardConfig(shards=8, executor="process", max_workers=2)
-    )
-    try:
+    engine = _engine_with(program, ShardConfig(shards=8))
+    engine.run()
+    base: dict[str, set] = {pred: set() for pred in EDB}
+    for fact in program.facts:
+        base.setdefault(fact.atom.predicate, set()).add(
+            tuple(t.value for t in fact.atom.terms)
+        )
+    for is_add, predicate, row in ops:
+        if is_add:
+            engine.add_facts(predicate, [row])
+            base[predicate].add(row)
+        else:
+            engine.retract_facts(predicate, [row])
+            base[predicate].discard(row)
         engine.run()
-        base: dict[str, set] = {pred: set() for pred in EDB}
-        for fact in program.facts:
-            base.setdefault(fact.atom.predicate, set()).add(
-                tuple(t.value for t in fact.atom.terms)
-            )
-        for is_add, predicate, row in ops:
-            if is_add:
-                engine.add_facts(predicate, [row])
-                base[predicate].add(row)
-            else:
-                engine.retract_facts(predicate, [row])
-                base[predicate].discard(row)
-            engine.run()
-        scratch = SemiNaiveEngine(program)
-        _sync_base(scratch, program, base)
-        expected = scratch.run().relations
-        current = engine.store.snapshot()
-        # A retained engine keeps an emptied relation in its snapshot; a
-        # from-scratch engine never creates it.  Same normalisation as the
-        # engine-diff oracle: missing == empty.
-        for pred in set(expected) | set(current):
-            assert current.get(pred, frozenset()) == expected.get(
-                pred, frozenset()
-            ), pred
-    finally:
-        engine.close()
+    scratch = SemiNaiveEngine(program)
+    _sync_base(scratch, program, base)
+    expected = scratch.run().relations
+    current = engine.store.snapshot()
+    # A retained engine keeps an emptied relation in its snapshot; a
+    # from-scratch engine never creates it.  Same normalisation as the
+    # engine-diff oracle: missing == empty.
+    for pred in set(expected) | set(current):
+        assert current.get(pred, frozenset()) == expected.get(
+            pred, frozenset()
+        ), pred
 
 
 @pytest.mark.shard_diff
@@ -539,33 +483,33 @@ def test_sharded_matches_scratch_reload(source: str, ops):
 @settings(max_examples=SHARD_EXAMPLES, deadline=None)
 def test_interval_leg_sharded_lockstep(ops):
     """Interval leg of the shard-diff oracle: random forest churn runs in
-    lockstep on every sharded serial/process configuration (interval on,
-    the default) and on a single-store *fixpoint-only* reference.  After
-    every run the snapshots and reported deltas must be byte-identical —
-    the interval index lives engine-side, so no executor, shard count or
-    replica mode may perturb what it derives."""
+    lockstep on every shard configuration (interval on, the default) and
+    on a single-store *fixpoint-only* reference.  After every run the
+    snapshots and reported deltas must be byte-identical, and every
+    configuration must reproduce the interval single store's merge-side
+    counters — the interval index lives beside the engine, so no shard
+    count may perturb what it derives."""
     program = parse_program(TREE_PROGRAM)
     reference = SemiNaiveEngine(program, shard_config=ShardConfig(interval=False))
     engines = [_engine_with(program, config) for config in SHARD_CONFIGS]
-    try:
-        reference.run()
-        for engine in engines:
-            engine.run()
-        for op in ops:
-            for engine in (reference, *engines):
-                apply_forest_op(engine, op)
-            expected = reference.run()
-            expected_snapshot = reference.store.snapshot()
-            for engine, config in zip(engines, SHARD_CONFIGS):
-                result = engine.run()
-                assert engine.store.snapshot() == expected_snapshot, (config, op)
-                assert result.added_rows == expected.added_rows, (config, op)
-                assert result.removed_rows == expected.removed_rows, (config, op)
+    reference.run()
+    for engine in engines:
+        engine.run()
+    for op in ops:
         for engine in (reference, *engines):
-            assert engine.runs == 1  # every update stayed incremental
-    finally:
-        for engine in engines:
-            engine.close()
+            apply_forest_op(engine, op)
+        expected = reference.run()
+        expected_snapshot = reference.store.snapshot()
+        for engine, config in zip(engines, SHARD_CONFIGS):
+            result = engine.run()
+            assert engine.store.snapshot() == expected_snapshot, (config, op)
+            assert result.added_rows == expected.added_rows, (config, op)
+            assert result.removed_rows == expected.removed_rows, (config, op)
+            assert _merge_counters(engine.stats) == _merge_counters(
+                engines[0].stats
+            ), (config, op)
+    for engine in (reference, *engines):
+        assert engine.runs == 1  # every update stayed incremental
 
 
 def _determinism_program():
@@ -585,170 +529,67 @@ def _determinism_program():
     return parse_program(source)
 
 
-#: Executor-transport telemetry: how rows *moved*, not what was derived.
-#: ``sync_rows``/``sync_bytes`` count the engine's canonical change sets
-#: (zero on the serial executor); ``replica_backfills`` counts
-#: per-executor replica work and legitimately varies across executors and
-#: worker counts.  Everything *outside* this set must be byte-identical
-#: everywhere.
-TRANSPORT_KEYS = ("sync_rows", "sync_bytes", "replica_backfills")
-
-
-def _derivation_only(stats: dict) -> dict:
-    stats = dict(stats)
-    for key in TRANSPORT_KEYS:
-        stats.pop(key)
-    return stats
-
-
-#: Task-split telemetry: the process pool splits each big round's tasks
-#: into per-shard delta partitions, and each partition counts one task
-#: and one scan of its delta, where the inline path runs one task per
-#: (rule, delta atom).  How the work was cut, not what was derived.
-SPLIT_KEYS = ("shard_tasks", "full_scans")
-
-
 class TestExecutorDeterminism:
-    """Satellite gate: fixed-seed runs on the process pool at worker
-    counts 1/2/8 produce identical results *and* identical derivation
-    counters — to each other and to the serial engine."""
+    """Fixed-seed runs at shard counts 1/2/8 produce identical results
+    *and* identical merge-side counters; shard count 1 is the single
+    store every sharded layout is compared against."""
 
-    WORKER_COUNTS = (1, 2, 8)
+    SHARD_COUNTS = (1, 2, 8)
 
     def _run(self, config: ShardConfig):
         engine = SemiNaiveEngine(_determinism_program(), shard_config=config)
-        try:
-            first = engine.run()
-            engine.retract_facts("link", [(5, 6), (9, 10)])
-            engine.add_facts("link", [(100, 101), (5, 100)])
-            second = engine.run()
-            return first, second, engine.stats.as_dict()
-        finally:
-            engine.close()
+        first = engine.run()
+        engine.retract_facts("link", [(5, 6), (9, 10)])
+        engine.add_facts("link", [(100, 101), (5, 100)])
+        second = engine.run()
+        return first, second, engine.stats
 
     def _run_all(self):
-        return [
-            self._run(
-                ShardConfig(
-                    shards=8,
-                    executor="process",
-                    max_workers=workers,
-                    min_parallel_rows=0,
-                )
-            )
-            for workers in self.WORKER_COUNTS
-        ]
+        return [self._run(ShardConfig(shards=n)) for n in self.SHARD_COUNTS]
 
-    def test_results_and_stats_identical_at_any_worker_count(self):
+    def test_results_and_stats_match_at_any_shard_count(self):
         outcomes = self._run_all()
         baseline_first, baseline_second, baseline_stats = outcomes[0]
+        assert baseline_stats.shard_tasks > 0  # delta rounds actually ran
         for first, second, stats in outcomes[1:]:
             assert first.relations == baseline_first.relations
             assert second.relations == baseline_second.relations
             assert second.added_rows == baseline_second.added_rows
             assert second.removed_rows == baseline_second.removed_rows
-            # Derivation counters — not just the fixpoint — must be
-            # worker-count-independent: the serial merge does all counting.
-            assert _derivation_only(stats) == _derivation_only(baseline_stats)
-
-    def test_process_pool_matches_serial_bit_for_bit(self):
-        """Same program, same updates: every process-pool run must equal
-        the serial engine — results, deltas and the full counter record
-        except the task-split telemetry (``SPLIT_KEYS``) and the transport
-        telemetry (the serial engine never ships rows)."""
-        s_first, s_second, s_stats = self._run(ShardConfig(shards=8))
-        s_stats = _derivation_only(s_stats)
-        for p_first, p_second, p_stats in self._run_all():
-            assert p_first.relations == s_first.relations
-            assert p_second.relations == s_second.relations
-            assert p_second.added_rows == s_second.added_rows
-            assert p_second.removed_rows == s_second.removed_rows
-            p_stats = _derivation_only(p_stats)
-            for key in SPLIT_KEYS:
-                assert p_stats.pop(key) >= s_stats[key]
-            assert p_stats == {
-                k: v for k, v in s_stats.items() if k not in SPLIT_KEYS
-            }
-
-    def test_replica_modes_bit_identical(self):
-        """Shard-pruned replicas (the process pool's replica layout)
-        produce the same results, deltas, derivation counters *and
-        canonical sync volume* at every worker count — pruning changes
-        what each worker holds, never what the engine derives or how much
-        it mutated."""
-        outcomes = self._run_all()
-        b_first, b_second, baseline = outcomes[0]
-        for first, second, stats in outcomes[1:]:
-            assert first.relations == b_first.relations
-            assert second.relations == b_second.relations
-            assert second.added_rows == b_second.added_rows
-            assert second.removed_rows == b_second.removed_rows
-            assert _derivation_only(stats) == _derivation_only(baseline)
-            # Sync volume counts the engine's change sets, not the
-            # per-worker shipping — identical at any worker count.
-            assert stats["sync_rows"] == baseline["sync_rows"]
-            assert stats["sync_bytes"] == baseline["sync_bytes"]
-
-    def test_replica_telemetry_deterministic(self):
-        """Replica transport telemetry is exercised (syncs and backfills
-        happen) and a repeated identical run reproduces every counter
-        byte-for-byte — transport included."""
-        pruned_a = self._run_all()
-        pruned_b = self._run_all()
-        for (_, _, stats_a), (_, _, stats_b) in zip(pruned_a, pruned_b):
-            assert stats_a == stats_b
-        assert all(stats["sync_rows"] > 0 for _, _, stats in pruned_a)
-        assert all(stats["replica_backfills"] > 0 for _, _, stats in pruned_a)
+            # Merge-side counters — not just the fixpoint — must be
+            # shard-count-independent: the serial merge does all counting.
+            assert _merge_counters(stats) == _merge_counters(baseline_stats)
 
     def test_incremental_runs_stay_incremental(self):
         for _, second, stats in self._run_all():
-            assert stats["incremental_runs"] == 1
+            assert stats.incremental_runs == 1
             assert second.has_changes()
 
-    def _run_interval(self, executor: str):
-        """Fixed tree churn on an interval-eligible program at worker
+    def _run_interval(self):
+        """Fixed tree churn on an interval-eligible program at shard
         counts 1/2/8."""
         program = parse_program(TREE_PROGRAM)
         outcomes = []
-        for workers in self.WORKER_COUNTS:
-            engine = SemiNaiveEngine(
-                program,
-                shard_config=ShardConfig(
-                    shards=8,
-                    executor=executor,
-                    max_workers=workers,
-                    min_parallel_rows=0,
-                ),
-            )
-            try:
-                engine.add_facts("edge", [(i, i + 1) for i in range(40)])
-                engine.add_facts("edge", [(i, i + 100) for i in range(0, 40, 5)])
-                first = engine.run()
-                engine.retract_facts("edge", [(10, 11)])
-                engine.add_facts("edge", [(200, 10), (39, 40)])
-                second = engine.run()
-                outcomes.append((first, second, engine.stats.as_dict()))
-            finally:
-                engine.close()
+        for shards in self.SHARD_COUNTS:
+            engine = SemiNaiveEngine(program, shard_config=ShardConfig(shards=shards))
+            engine.add_facts("edge", [(i, i + 1) for i in range(40)])
+            engine.add_facts("edge", [(i, i + 100) for i in range(0, 40, 5)])
+            first = engine.run()
+            engine.retract_facts("edge", [(10, 11)])
+            engine.add_facts("edge", [(200, 10), (39, 40)])
+            second = engine.run()
+            outcomes.append((first, second, engine.stats))
         return outcomes
 
-    def test_interval_stats_identical_at_any_worker_count(self):
-        """The interval index lives engine-side and steps serially, so its
-        counters — like every other derivation counter — are worker-count
-        and executor independent."""
-        by_executor = {
-            executor: self._run_interval(executor)
-            for executor in ("serial", "process")
-        }
-        serial_first, serial_second, serial_stats = by_executor["serial"][0]
-        assert serial_stats["interval_scans"] > 0  # the path actually engaged
-        for executor, outcomes in by_executor.items():
-            for first, second, stats in outcomes:
-                assert first.relations == serial_first.relations, executor
-                assert second.added_rows == serial_second.added_rows, executor
-                assert second.removed_rows == serial_second.removed_rows, executor
-                derivation = _derivation_only(stats)
-                baseline = _derivation_only(serial_stats)
-                for key in SPLIT_KEYS:
-                    derivation.pop(key), baseline.pop(key)
-                assert derivation == baseline, executor
+    def test_interval_stats_identical_at_any_shard_count(self):
+        """The interval index lives beside the engine and steps serially,
+        so its counters — like every other merge-side counter — are
+        shard-count independent."""
+        outcomes = self._run_interval()
+        single_first, single_second, single_stats = outcomes[0]
+        assert single_stats.interval_scans > 0  # the path actually engaged
+        for first, second, stats in outcomes[1:]:
+            assert first.relations == single_first.relations
+            assert second.added_rows == single_second.added_rows
+            assert second.removed_rows == single_second.removed_rows
+            assert _merge_counters(stats) == _merge_counters(single_stats)

@@ -163,17 +163,17 @@ class TestFormatTable:
     def test_bools_rendered_as_words(self):
         assert "yes" in format_table(("x",), [(True,)])
 
-    def test_stats_table_surfaces_replica_telemetry(self):
-        """The engine's replica-transport counters must reach bench
-        reports through the generic counters table."""
+    def test_stats_table_surfaces_engine_counters(self):
+        """The engine's counters must reach bench reports through the
+        generic counters table."""
         from repro.cylog.engine import EngineStats
         from repro.metrics import format_stats_table
 
         table = format_stats_table({"cylog_engine": EngineStats().as_dict()})
         for counter in (
-            "sync_rows",
-            "sync_bytes",
-            "replica_backfills",
+            "shard_tasks",
             "write_replans",
+            "interval_scans",
+            "tuples_copied",
         ):
             assert counter in table, counter
