@@ -42,6 +42,9 @@ CHURN_ROUNDS = pick(20, 3)
 CHURN_BATCH = pick(8, 4)
 BULK_ROUNDS = pick(5, 2)
 BULK_BATCH = pick(4000, 40)
+#: Each phase of each configuration is timed best of this many fresh
+#: engines, so one GC pause or noisy neighbour cannot swing the headline.
+REPEATS = 5
 
 RULES = """
     match(L, R) :- left(L, K), right(R, K), R > L, R < L + 50.
@@ -112,13 +115,14 @@ def _bulk_rows(round_index: int) -> list[tuple[int, int]]:
     return [(base + j, _key(base + j)) for j in range(BULK_BATCH)]
 
 
-def _run_config(config: ShardConfig) -> dict:
+def _timed_phases(config: ShardConfig) -> tuple[dict, SemiNaiveEngine]:
+    """One fresh engine through every phase: each phase's seconds, and
+    the engine for the counters and the fingerprint."""
     engine = _build_engine(config)
     start = time.perf_counter()
     engine.run()
     initial_s = time.perf_counter() - start
 
-    churn_ops = 0
     start = time.perf_counter()
     for round_index in range(CHURN_ROUNDS):
         rows = _churn_rows(round_index)
@@ -126,21 +130,36 @@ def _run_config(config: ShardConfig) -> dict:
         engine.run()
         engine.retract_facts("left", rows)
         engine.run()
-        churn_ops += 2 * len(rows)
     churn_s = time.perf_counter() - start
 
-    bulk_ops = 0
     start = time.perf_counter()
     for round_index in range(BULK_ROUNDS):
-        rows = _bulk_rows(round_index)
-        engine.add_facts("left", rows)
+        engine.add_facts("left", _bulk_rows(round_index))
         engine.run()
-        bulk_ops += len(rows)
     bulk_s = time.perf_counter() - start
 
     assert engine.runs == 1  # every phase stayed incremental
+    return {"initial": initial_s, "churn": churn_s, "bulk": bulk_s}, engine
+
+
+def _run_config(config: ShardConfig) -> dict:
+    """Every phase timed best of REPEATS fresh engines; the counters are
+    deterministic, so they must agree across the repeats."""
+    best = dict.fromkeys(("initial", "churn", "bulk"), float("inf"))
+    outcomes = set()
+    for _ in range(REPEATS):
+        times, engine = _timed_phases(config)
+        best = {phase: min(best[phase], times[phase]) for phase in best}
+        stats = engine.stats
+        outcomes.add(
+            (stats.exchange_hits, stats.chained_lookups, engine.store.fingerprint())
+        )
+    ((exchange_hits, chained_lookups, fingerprint),) = outcomes
+    churn_ops = 2 * CHURN_ROUNDS * CHURN_BATCH
+    bulk_ops = BULK_ROUNDS * BULK_BATCH
+    churn_s, bulk_s = best["churn"], best["bulk"]
     return {
-        "initial_run_ms": round(initial_s * 1000, 2),
+        "initial_run_ms": round(best["initial"] * 1000, 2),
         "churn_ops": churn_ops,
         "churn_ops_per_s": round(churn_ops / churn_s, 1) if churn_s else 0.0,
         "bulk_ops": bulk_ops,
@@ -150,9 +169,9 @@ def _run_config(config: ShardConfig) -> dict:
         "derived_pair": len(engine.facts("pair")),
         "derived_hop2": len(engine.facts("hop2")),
         "derived_fanout": len(engine.facts("fanout")),
-        "exchange_hits": engine.stats.exchange_hits,
-        "chained_lookups": engine.stats.chained_lookups,
-        "fingerprint": engine.store.fingerprint(),
+        "exchange_hits": exchange_hits,
+        "chained_lookups": chained_lookups,
+        "fingerprint": fingerprint,
     }
 
 
@@ -197,13 +216,14 @@ def test_e10f_exchange_repartitioning(emit, emit_bench_json):
                 "bulk_rounds": BULK_ROUNDS,
                 "bulk_batch": BULK_BATCH,
             },
+            "repeats": REPEATS,
             "speedup_exchange_vs_chained": round(speedup_exchange, 2),
             "configs": records,
         },
     )
     emit(format_table(
-        ("config", "shards", "initial (ms)", "churn ops/s", "bulk round (ms)",
-         "bulk ops/s"),
+        ("config", "shards", f"initial, best of {REPEATS} (ms)", "churn ops/s",
+         "bulk round (ms)", "bulk ops/s"),
         [
             (r["label"], r["shards"], r["initial_run_ms"], r["churn_ops_per_s"],
              r["bulk_round_ms"], r["bulk_ops_per_s"])

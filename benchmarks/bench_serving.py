@@ -5,10 +5,11 @@ by ``N_CLIENTS`` simulated volunteers on persistent keep-alive
 connections.  Two phases:
 
 * **write saturation** — every client concurrently POSTs answers and
-  ad-hoc task posts.  The admission queue coalesces the flood into
-  drainer ticks, so the engine runs one continuation per project per
-  tick instead of one per request; ``coalescing_x`` (admitted writes per
-  tick) is the headline and must be >= 10x at full size.
+  ad-hoc task posts.  The drainer group-commits the flood: each tick
+  takes every write queued while the previous tick ran, so the engine
+  runs one continuation per project per tick instead of one per request;
+  ``coalescing_x`` (admitted writes per tick) is the headline and must
+  be >= 10x at full size.
 * **cache-fed reads** — every client GETs worker pages and health
   probes.  Between mutations the renders hit the version-keyed query
   cache, measured by the server's attributed ``read_cache`` block.
@@ -92,7 +93,6 @@ async def _read_phase(
 async def _run() -> dict:
     config = RuntimeConfig(
         serving=ServingConfig(
-            batch_window=0.005,
             max_batch=512,
             queue_depth=max(1024, N_CLIENTS * WRITES_PER_CLIENT),
             max_round_lag=30.0,

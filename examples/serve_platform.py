@@ -56,7 +56,7 @@ async def volunteer(address, index: int) -> str:
 
 
 async def main() -> None:
-    config = RuntimeConfig(serving=ServingConfig(batch_window=0.01))
+    config = RuntimeConfig(serving=ServingConfig())
     server = config.build_server()
     server.platform.register_project("survey", "req", CYLOG_SOURCE)
 
@@ -64,8 +64,8 @@ async def main() -> None:
         address = server.address
         print(f"serving on http://{address[0]}:{address[1]}")
 
-        # Twelve volunteers at once: the admission queue coalesces their
-        # writes into far fewer engine continuations than requests.
+        # Twelve volunteers at once: writes queued while a tick runs
+        # commit together in the next one.
         worker_ids = await asyncio.gather(
             *(volunteer(address, i) for i in range(12))
         )

@@ -124,7 +124,6 @@ class EngineStats(CounterRecord):
     supports_evicted: int = 0
     stratum_recomputes: int = 0
     agg_recomputes: int = 0
-    shard_tasks: int = 0
     exchange_hits: int = 0
     chained_lookups: int = 0
     #: Mid-stream recompilations triggered by an observed write rate
@@ -581,7 +580,6 @@ def run_rule_task(
     if position is None:
         bindings_iter = solutions(rule.join_plan, store, stats=scratch)
     else:
-        scratch.shard_tasks = 1
         bindings_iter = solutions(
             rule.delta_plans[position],
             store,

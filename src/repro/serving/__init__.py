@@ -1,17 +1,17 @@
-"""repro.serving — the async HTTP front-end with admission batching.
+"""repro.serving — the async HTTP front-end with group-commit admission.
 
 The platform's first public network surface, designed rather than
 accreted:
 
-* :class:`ServingConfig` — frozen serving knobs (bind address, batch
-  window, queue depth, lag thresholds), composed into
+* :class:`ServingConfig` — frozen serving knobs (bind address, tick
+  size, queue depth, lag thresholds), composed into
   :class:`repro.config.RuntimeConfig` as ``serving=``;
   ``RuntimeConfig.build_server()`` is the one way to get a server.
 * :class:`PlatformServer` — asyncio HTTP/1.1 server with explicit
   lifecycle (``start`` / ``drain`` / ``close``, async context manager):
   reads render from the version-keyed query cache, writes funnel through
-  a bounded admission queue that one drainer coalesces into engine
-  bursts, with ``429 Retry-After`` backpressure.
+  a bounded admission queue that one drainer group-commits into engine
+  bursts (no batch timer), with ``429 Retry-After`` backpressure.
 * :class:`ServingStats` — admitted/coalesced/rejected counters, queue
   depth and tick latency, folded into
   :func:`repro.metrics.format_stats_table`.

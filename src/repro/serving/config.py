@@ -1,8 +1,8 @@
 """The serving front-end's configuration surface.
 
 :class:`ServingConfig` is a frozen value object, designed rather than
-accreted: every knob of the HTTP front-end — bind address, admission
-batching, backpressure thresholds, protocol limits — lives here, and the
+accreted: every knob of the HTTP front-end — bind address, tick size,
+backpressure thresholds, protocol limits — lives here, and the
 object composes into :class:`repro.config.RuntimeConfig` (``serving=``)
 so one ``RuntimeConfig`` describes a whole deployment, storage to socket.
 ``RuntimeConfig.build_server()`` is the one way to get a
@@ -26,13 +26,13 @@ class ServingConfig:
     :attr:`PlatformServer.address` after start — the test and bench
     default).
 
-    Admission batching: writes are admitted into a bounded queue that a
-    single drainer empties once per *tick*.  After the first queued write
-    arrives the drainer keeps collecting for ``batch_window`` seconds (up
-    to ``max_batch`` operations) and applies the whole burst inside one
-    engine continuation per project — thousands of concurrent submissions
-    cost one evaluation, not one each.  ``batch_window=0`` degenerates to
-    "whatever is queued right now".
+    Group commit: writes are admitted into a bounded queue that a single
+    drainer empties once per *tick*.  When the first queued write arrives
+    the drainer takes whatever else is already queued (up to
+    ``max_batch`` operations) and applies the whole burst inside one
+    engine continuation per project — writes that arrive during a tick
+    form the next one, so concurrent submissions share an evaluation
+    without any write waiting on a timer.
 
     Backpressure: a write is rejected with ``429 Retry-After`` when the
     admission queue already holds ``queue_depth`` operations, or when the
@@ -48,7 +48,6 @@ class ServingConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window: float = 0.005
     max_batch: int = 512
     queue_depth: int = 1024
     max_round_lag: float = 0.5
@@ -61,8 +60,6 @@ class ServingConfig:
             raise ValueError(f"port must be within [0, 65535], got {self.port}")
         if not self.host:
             raise ValueError("host must be non-empty")
-        if self.batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {self.batch_window}")
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.queue_depth < 1:

@@ -12,21 +12,24 @@ they must not interleave per-request):
   :class:`~repro.serving.ops.WriteOp` and enters a bounded admission
   queue; the request's response future resolves when the drainer has
   applied its operation.
-* **One drainer coalesces.**  A single background task collects queued
-  writes for :attr:`~repro.serving.config.ServingConfig.batch_window`
-  seconds and applies the burst through
+* **One drainer group-commits.**  A single background task waits for the
+  first queued write, takes whatever else is already queued (up to
+  ``max_batch``) and applies the burst through
   :func:`~repro.serving.ops.apply_ops` — one engine continuation per
-  project per tick, not per request.
+  project per tick, not per request.  No timer holds a write back:
+  writes that arrive during a tick form the next one (Polynesia,
+  arXiv 2103.00798 — updates must not queue behind a timer).
 * **Backpressure is explicit.**  When the queue is at
   ``queue_depth`` or has been continuously non-empty for longer than
   ``max_round_lag``, new writes get ``429`` with a ``Retry-After``
   header instead of unbounded queueing.
 
 Lifecycle is explicit: :meth:`start` binds and spawns the drainer,
-:meth:`drain` stops admission and flushes the queue, :meth:`close`
-releases the socket; ``async with`` does start/drain/close.  Construct
-through :meth:`repro.config.RuntimeConfig.build_server` — serving knobs
-live in the composed :class:`~repro.serving.config.ServingConfig`.
+:meth:`drain` stops admission and returns once every admitted write has
+been applied and answered, :meth:`close` releases the socket; ``async
+with`` does start/drain/close.  Construct through
+:meth:`repro.config.RuntimeConfig.build_server` — serving knobs live in
+the composed :class:`~repro.serving.config.ServingConfig`.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ class PlatformServer:
         #: Monotonic time the queue last became non-empty (None = empty).
         self._backlog_since: float | None = None
         self._tick = 0
-        self._in_tick = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -113,13 +115,18 @@ class PlatformServer:
         return self
 
     async def drain(self) -> None:
-        """Stop admitting writes and apply everything already queued."""
+        """Stop admitting writes; return once every admitted write has been
+        applied and its response future resolved.
+
+        The drainer marks each op done only after its tick resolved the
+        op's future, so ``Queue.join`` also covers a burst the drainer
+        has already taken off the queue.
+        """
         if self._state in ("new", "closed"):
             return
         self._state = "draining"
         assert self._queue is not None
-        while self._queue.qsize() or self._in_tick:
-            await asyncio.sleep(self.config.batch_window or 0.001)
+        await self._queue.join()
 
     async def close(self) -> None:
         """Release the socket and stop the drainer (unapplied writes get
@@ -139,6 +146,7 @@ class PlatformServer:
         if self._queue is not None:
             while self._queue.qsize():
                 _, future = self._queue.get_nowait()
+                self._queue.task_done()
                 if not future.done():
                     future.set_exception(ServerClosed("server closed"))
 
@@ -181,29 +189,17 @@ class PlatformServer:
         return future
 
     async def _drain_loop(self) -> None:
+        """Group commit: wait for one write, take what else is queued."""
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             batch = [await self._queue.get()]
-            window = self.config.batch_window
-            if window > 0:
-                deadline = loop.time() + window
-                while len(batch) < self.config.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(self._queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        break
-            else:
-                while (
-                    len(batch) < self.config.max_batch and self._queue.qsize()
-                ):
-                    batch.append(self._queue.get_nowait())
-            self._apply_batch(batch)
+            while len(batch) < self.config.max_batch and self._queue.qsize():
+                batch.append(self._queue.get_nowait())
+            try:
+                self._apply_batch(batch)
+            finally:
+                for _ in batch:
+                    self._queue.task_done()
             if not self._queue.qsize():
                 self._backlog_since = None
 
@@ -213,7 +209,6 @@ class PlatformServer:
         """One tick: apply the burst synchronously (the event loop blocks,
         so reads and the engine never interleave mid-operation), then
         resolve every waiter."""
-        self._in_tick = True
         self._tick += 1
         started = time.perf_counter()
         ops = [op for op, _ in batch]
@@ -224,7 +219,6 @@ class PlatformServer:
                 if not future.done():
                     future.set_exception(exc)
             self.stats.record_tick(len(batch), time.perf_counter() - started)
-            self._in_tick = False
             return
         self.stats.record_tick(len(batch), time.perf_counter() - started)
         if self.record_journal:
@@ -241,7 +235,6 @@ class PlatformServer:
                 )
             if not future.done():
                 future.set_result(response)
-        self._in_tick = False
 
     # ------------------------------------------------------------------
     # Connection handling + routing

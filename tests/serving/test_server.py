@@ -1,8 +1,9 @@
-"""PlatformServer: lifecycle, routing, admission batching, backpressure."""
+"""PlatformServer: lifecycle, routing, group commit, backpressure."""
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 
 import pytest
 
@@ -36,6 +37,15 @@ def make_platform(seed: int = 3) -> Crowd4U:
     return platform
 
 
+async def _freeze_drainer(server: PlatformServer) -> None:
+    """Cancel the drainer so admitted writes stay queued."""
+    server._drainer.cancel()
+    try:
+        await server._drainer
+    except asyncio.CancelledError:
+        pass
+
+
 class TestServingConfig:
     def test_defaults_and_with_changes(self):
         config = ServingConfig()
@@ -52,7 +62,6 @@ class TestServingConfig:
         for bad in (
             {"host": ""},
             {"port": -1},
-            {"batch_window": -0.1},
             {"max_batch": 0},
             {"queue_depth": 0},
             {"max_round_lag": 0.0},
@@ -62,6 +71,11 @@ class TestServingConfig:
         ):
             with pytest.raises(ValueError):
                 ServingConfig(**bad)
+
+    def test_batch_window_removed(self):
+        """The drainer group-commits with no timer; the knob is gone."""
+        with pytest.raises(TypeError):
+            ServingConfig(batch_window=0.005)
 
 
 class TestServingStats:
@@ -121,7 +135,7 @@ class TestLifecycle:
 
     def test_async_context_manager(self):
         async def go():
-            config = RuntimeConfig(serving=ServingConfig(batch_window=0.001))
+            config = RuntimeConfig(serving=ServingConfig())
             server = config.build_server()
             async with server:
                 assert server.state == "serving"
@@ -152,12 +166,7 @@ class TestLifecycle:
             platform = make_platform()
             server = PlatformServer(platform, ServingConfig())
             await server.start()
-            # Freeze the drainer so admitted writes stay queued.
-            server._drainer.cancel()
-            try:
-                await server._drainer
-            except asyncio.CancelledError:
-                pass
+            await _freeze_drainer(server)
             server._drainer = None
             from repro.serving.ops import WriteOp
 
@@ -293,10 +302,16 @@ class TestRoutes:
 
 class TestAdmission:
     def test_concurrent_writes_coalesce(self):
-        async def go():
+        """Writes queued while the drainer is busy commit together, at most
+        ``max_batch`` per tick."""
+
+        async def go(max_batch: int) -> list[int]:
             platform = make_platform()
-            config = ServingConfig(batch_window=0.05, max_batch=64)
-            async with PlatformServer(platform, config) as server:
+            server = PlatformServer(
+                platform, ServingConfig(max_batch=max_batch), record_journal=True
+            )
+            async with server:
+                await _freeze_drainer(server)
                 address = server.address
 
                 async def register(i: int):
@@ -308,30 +323,31 @@ class TestAdmission:
                         json_body={"name": f"w{i}", "factors": FACTORS},
                     )
 
-                responses = await asyncio.gather(*(register(i) for i in range(16)))
+                posts = [asyncio.create_task(register(i)) for i in range(16)]
+                while server.stats.admitted < 16:
+                    await asyncio.sleep(0.001)
+                server._drainer = asyncio.create_task(server._drain_loop())
+                responses = await asyncio.gather(*posts)
                 assert all(r.parsed_json()["ok"] for r in responses)
-            assert server.stats.admitted == 16
-            assert server.stats.applied == 16
-            # The point of admission batching: far fewer engine
-            # continuations than requests.
-            assert server.stats.ticks < 16
-            assert server.stats.coalescing > 1.0
+            assert server.stats.applied == server.stats.admitted == 16
             assert len(platform.workers) == 16
             platform.close()
+            tick_sizes = [
+                len(list(group))
+                for _, group in itertools.groupby(server.journal, key=lambda e: e[0])
+            ]
+            assert server.stats.ticks == len(tick_sizes)
+            return tick_sizes
 
-        run(go())
+        assert run(go(64)) == [16]
+        assert run(go(4)) == [4, 4, 4, 4]
 
     def test_queue_depth_backpressure(self):
         async def go():
             platform = make_platform()
             server = PlatformServer(platform, ServingConfig(queue_depth=2))
             await server.start()
-            # Freeze the drainer so the queue can only grow.
-            server._drainer.cancel()
-            try:
-                await server._drainer
-            except asyncio.CancelledError:
-                pass
+            await _freeze_drainer(server)  # the queue can only grow
             from repro.serving.ops import WriteOp
 
             assert isinstance(server._admit(WriteOp("step", {})), asyncio.Future)
@@ -352,11 +368,7 @@ class TestAdmission:
                 platform, ServingConfig(max_round_lag=0.001, queue_depth=100)
             )
             await server.start()
-            server._drainer.cancel()
-            try:
-                await server._drainer
-            except asyncio.CancelledError:
-                pass
+            await _freeze_drainer(server)
             from repro.serving.ops import WriteOp
 
             assert isinstance(server._admit(WriteOp("step", {})), asyncio.Future)
@@ -372,8 +384,7 @@ class TestAdmission:
     def test_drain_flushes_queued_writes(self):
         async def go():
             platform = make_platform()
-            config = ServingConfig(batch_window=0.02)
-            async with PlatformServer(platform, config) as server:
+            async with PlatformServer(platform, ServingConfig()) as server:
                 address = server.address
                 posts = [
                     asyncio.create_task(
@@ -393,6 +404,35 @@ class TestAdmission:
                 responses = await asyncio.gather(*posts)
                 assert all(r.parsed_json()["ok"] for r in responses)
             assert len(platform.workers) == 4
+            platform.close()
+
+        run(go())
+
+    def test_drain_applies_the_write_the_drainer_holds(self):
+        """Once ``drain()`` returns, a write the drainer has already taken
+        off the queue has been applied, and ``close()`` cannot drop it."""
+
+        async def go():
+            platform = make_platform()
+            server = PlatformServer(platform, ServingConfig())
+            await server.start()
+            post = asyncio.create_task(
+                http_request(
+                    *server.address,
+                    "POST",
+                    "/workers",
+                    json_body={"name": "ann", "factors": FACTORS},
+                )
+            )
+            while server.stats.admitted < 1:
+                await asyncio.sleep(0.001)
+            await asyncio.sleep(0.001)  # the drainer takes the write
+            await server.drain()
+            assert server.stats.applied == server.stats.admitted
+            await server.close()
+            response = await post
+            assert response.status == 200
+            assert len(platform.workers) == 1
             platform.close()
 
         run(go())

@@ -171,7 +171,7 @@ class TestFormatTable:
 
         table = format_stats_table({"cylog_engine": EngineStats().as_dict()})
         for counter in (
-            "shard_tasks",
+            "rounds",
             "write_replans",
             "interval_scans",
             "tuples_copied",
