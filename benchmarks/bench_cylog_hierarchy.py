@@ -12,7 +12,7 @@ the only difference is the access path:
   the engine answers the stratum from
   :class:`~repro.cylog.indexes.IntervalHierarchyIndex` range scans, and
   every edge delta becomes the exact added/removed closure pairs.
-* **fixpoint** (``ShardConfig(interval=False)``): classic semi-naive
+* **fixpoint** (``SemiNaiveEngine(program, interval=False)``): classic semi-naive
   rounds with support counting and DRed over-delete / re-derive.
 
 The headline gate — ``speedup_interval_vs_fixpoint`` — is the churn-phase
@@ -24,7 +24,7 @@ round, so the speedup is measured on bit-identical results.
 
 import time
 
-from repro.cylog import SemiNaiveEngine, ShardConfig, parse_program
+from repro.cylog import SemiNaiveEngine, parse_program
 from repro.metrics import format_table
 
 from fastmode import pick
@@ -77,9 +77,7 @@ def _subtree_leaf(root: int) -> int:
 
 
 def _build_engine(interval: bool) -> SemiNaiveEngine:
-    engine = SemiNaiveEngine(
-        parse_program(RULES), shard_config=ShardConfig(interval=interval)
-    )
+    engine = SemiNaiveEngine(parse_program(RULES), interval=interval)
     engine.add_facts("edge", _edges())
     return engine
 

@@ -17,10 +17,10 @@ from repro import (
     TeamConstraints,
 )
 
-# RuntimeConfig gathers every deployment knob (storage backend, engine
-# sharding, memory budgets); the defaults are an in-memory,
-# single-store serial deployment — see examples/durable_storage.py for a
-# platform that survives restarts.
+# RuntimeConfig gathers every deployment knob (storage backend, the
+# engine's memory budget, the HTTP front-end); the defaults are an
+# in-memory deployment — see examples/durable_storage.py for a platform
+# that survives restarts.
 platform = Crowd4U(seed=42, config=RuntimeConfig())
 
 # -- 1. workers join with their human factors (Figure 4) --------------------

@@ -2,12 +2,11 @@
 
 :class:`RuntimeConfig` gathers every knob that used to travel as separate
 keyword arguments on ``Crowd4U(...)`` and ``CyLogProcessor(...)`` —
-storage backend, shard layout, the exchange operator, the
-support-index memory budget and the serving front-end — into one
-validated value object:
+storage backend, the support-index memory budget and the serving
+front-end — into one validated value object:
 
 >>> from repro import Crowd4U, RuntimeConfig
->>> platform = Crowd4U(config=RuntimeConfig(shards=4))
+>>> platform = Crowd4U(config=RuntimeConfig(support_budget=100_000))
 
 ``config=`` is the only spelling.  The serving slice nests as a
 frozen :class:`~repro.serving.config.ServingConfig`
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING, Any
 from repro.serving.config import ServingConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cylog.sharding import ShardConfig
     from repro.serving.server import PlatformServer
     from repro.storage.database import Database
 
@@ -42,10 +40,6 @@ class RuntimeConfig:
     forwarded to the WAL backend constructor (e.g.
     ``{"compact_every": 1000}``).
 
-    Evaluation: ``shards`` / ``exchange`` configure the CyLog engine
-    exactly like :class:`~repro.cylog.sharding.ShardConfig`; every
-    evaluation task runs inline.
-
     Memory: ``support_budget`` caps how many support entries the
     incremental engine's provenance index may hold; past the cap the
     engine degrades affected strata to recompute-on-removal instead of
@@ -53,15 +47,13 @@ class RuntimeConfig:
 
     Serving: ``serving`` is the nested frozen
     :class:`~repro.serving.config.ServingConfig` — bind address,
-    admission batch window, queue depth and backpressure thresholds for
-    the HTTP front-end built by :meth:`build_server`.
+    queue depth, tick batch size and backpressure thresholds for the
+    HTTP front-end built by :meth:`build_server`.
     """
 
     backend: str = "memory"
     path: str | Path | None = None
     backend_options: dict[str, Any] = field(default_factory=dict)
-    shards: int = 1
-    exchange: bool = True
     support_budget: int | None = None
     serving: ServingConfig = field(default_factory=ServingConfig)
 
@@ -74,8 +66,6 @@ class RuntimeConfig:
             raise ValueError(f"backend {self.backend!r} requires a path")
         if self.backend == "memory" and self.path is not None:
             raise ValueError("the memory backend takes no path")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.support_budget is not None and self.support_budget < 0:
             raise ValueError(
                 f"support_budget must be >= 0 or None, got {self.support_budget}"
@@ -88,12 +78,6 @@ class RuntimeConfig:
     def with_changes(self, **changes: Any) -> "RuntimeConfig":
         """A copy with ``changes`` applied (frozen-dataclass ``replace``)."""
         return replace(self, **changes)
-
-    def to_shard_config(self) -> "ShardConfig":
-        """The engine-facing slice of this configuration."""
-        from repro.cylog.sharding import ShardConfig
-
-        return ShardConfig(shards=self.shards, exchange=self.exchange)
 
     def build_database(self) -> "Database":
         """Open the database this configuration describes."""

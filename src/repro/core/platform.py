@@ -26,16 +26,9 @@ escape hatch, and ``step(cross_check=True)`` runs an engine-diff-style
 oracle that verifies the incrementally maintained ledger against a
 from-scratch recomputation.  Work counters live in :class:`PlatformStats`.
 
-Every project's CyLog engine can be hash-sharded
-(``Crowd4U(config=RuntimeConfig(shards=8))`` — see
-:class:`repro.cylog.ShardConfig`): the round's eligibility maintenance
-then consumes the engine's change sets *per shard* — the removed-row membership probe
-``relation.lookup((0,), (worker_id,))`` routes straight to the shard
-owning the worker id instead of touching a global index — while
-snapshots and deltas stay byte-identical to the single-store
-configuration.  Joins whose index key misses the shard key prefix go
-through the exchange operator (planner-chosen repartitions; disable
-with ``exchange=False``) instead of chaining every shard.
+Each project's CyLog engine keeps one relation store.  The round's
+eligibility maintenance probes it directly: a removed row's membership
+check is one hash-index lookup, ``relation.lookup((0,), (worker_id,))``.
 
 >>> from repro.core import Crowd4U, HumanFactors, TeamConstraints
 >>> platform = Crowd4U(seed=1)
@@ -176,7 +169,6 @@ class Crowd4U:
         self.config = config = config if config is not None else RuntimeConfig()
         self.seed = seed
         self.now = 0.0
-        self.shard_config = config.to_shard_config()
         self.stats = PlatformStats()
         #: An explicitly supplied database wins; otherwise the config
         #: opens one on its chosen storage backend (restoring persisted
@@ -1030,7 +1022,6 @@ class Crowd4U:
             "teams": len(self.teams),
             "relationships": len(self.ledger),
             "affinity_pairs": len(self.affinity),
-            "engine_shards": self.shard_config.shards,
             "storage_backend": (
                 self.db.backend.name if self.db.backend is not None else "memory"
             ),

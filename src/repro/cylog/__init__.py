@@ -69,6 +69,7 @@ from repro.cylog.engine import (
     EngineStats,
     EvaluationResult,
     SemiNaiveEngine,
+    fingerprint_snapshot,
     naive_evaluate,
 )
 from repro.cylog.errors import (
@@ -83,11 +84,6 @@ from repro.cylog.parser import parse_program
 from repro.cylog.pretty import explain_program, program_to_source
 from repro.cylog.processor import CyLogProcessor
 from repro.cylog.safety import IntervalSpec, JoinPlan, PlanStep, compile_program
-from repro.cylog.sharding import (
-    ShardConfig,
-    ShardedRelationStore,
-    fingerprint_snapshot,
-)
 
 __all__ = [
     "AggregateTerm",
@@ -110,8 +106,6 @@ __all__ = [
     "Program",
     "Rule",
     "SemiNaiveEngine",
-    "ShardConfig",
-    "ShardedRelationStore",
     "StratificationError",
     "TaskRequest",
     "Var",

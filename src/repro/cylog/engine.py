@@ -21,16 +21,10 @@ Every run reports what changed through ``EvaluationResult.added`` /
 ``removed``, which the CyLog processor and the platform consume as
 first-class deltas.
 
-The engine is also *shardable* (see :mod:`repro.cylog.sharding`): with a
-:class:`ShardConfig` the relation store is hash-partitioned by key
-prefix and the support index shards its wildcard reverse index.  Each
-semi-naive round's (rule, delta atom) tasks run inline through the one
-runner, :func:`run_rule_task`, all against the pre-round store, and
-results merge serially in submission order, so fixpoints, reported
-deltas and the derivation counters are bit-identical at any shard
-count; the ``shard-diff`` CI oracle enforces byte-identical snapshots
-against the single-store engine.  Strata evaluate in index order, which
-stratification makes topological.
+Each semi-naive round's (rule, delta atom) tasks run inline through the
+one runner, :func:`run_rule_task`, all against the pre-round store, and
+results merge serially in submission order.  Strata evaluate in index
+order, which stratification makes topological.
 
 :func:`naive_evaluate` exists as an oracle for differential testing and as
 the baseline for the E10 bench.  Both report work counters through
@@ -39,8 +33,9 @@ the baseline for the E10 bench.  Both report work counters through
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.cylog.ast import (
     AggregateTerm,
@@ -57,7 +52,6 @@ from repro.cylog.errors import CyLogTypeError
 from repro.cylog.incremental import (
     DeltaLedger,
     RetractionScheduler,
-    ShardedSupportIndex,
     SupportIndex,
     SupportKey,
     partition_recursive,
@@ -74,20 +68,8 @@ from repro.cylog.safety import (
 )
 from repro.metrics.counters import CounterRecord
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sharding imports us)
-    from repro.cylog.sharding import ShardConfig
-
 Tuple_ = tuple[Any, ...]
 Bindings = dict[str, Any]
-
-#: Write-aware exchange costing: observed per-relation delta rows per run
-#: are smoothed with this EWMA weight (new sample vs history), and decayed
-#: by the same factor on runs that touch nothing of the relation; rates
-#: below the floor are forgotten entirely.  Purely a function of the
-#: reported run deltas, so the rates — and any replan they trigger — are
-#: identical at any shard count.
-WRITE_RATE_ALPHA = 0.5
-WRITE_RATE_FLOOR = 0.5
 
 
 @dataclass
@@ -124,11 +106,6 @@ class EngineStats(CounterRecord):
     supports_evicted: int = 0
     stratum_recomputes: int = 0
     agg_recomputes: int = 0
-    exchange_hits: int = 0
-    chained_lookups: int = 0
-    #: Mid-stream recompilations triggered by an observed write rate
-    #: crossing an exchange break-even (write-aware exchange costing).
-    write_replans: int = 0
     #: Interval access path: range scans served by the engine-side
     #: hierarchy index (descendant queries, closure enumerations, subtree
     #: collections under churn) and nodes relabelled *beyond* the moved
@@ -142,10 +119,8 @@ class EngineStats(CounterRecord):
     plans: dict[str, str] = field(default_factory=dict)
 
     def derivation_counters(self) -> dict[str, int]:
-        """The counters that must be identical across every shard count
-        (they are all merge-side): what was
-        derived, retracted, re-derived and recorded — not how the probes
-        that found it were routed."""
+        """The merge-side counters: what was derived, retracted,
+        re-derived and recorded — not how many probes found it."""
         keys = (
             "full_runs",
             "incremental_runs",
@@ -265,18 +240,10 @@ class RelationStore:
         self._relations: dict[str, Relation] = {}
         self._index_specs = dict(index_specs or {})
 
-    def _make_relation(
-        self, predicate: str, arity: int, index_specs: Iterable[tuple[int, ...]]
-    ):
-        """Factory hook: the sharded store substitutes its own relation."""
-        return Relation(arity, index_specs)
-
     def get(self, predicate: str, arity: int) -> Relation:
         relation = self._relations.get(predicate)
         if relation is None:
-            relation = self._make_relation(
-                predicate, arity, self._index_specs.get(predicate, ())
-            )
+            relation = Relation(arity, self._index_specs.get(predicate, ()))
             self._relations[predicate] = relation
         elif relation.arity != arity:
             raise CyLogTypeError(
@@ -301,12 +268,25 @@ class RelationStore:
         return sum(rel.tuples_copied for rel in self._relations.values())
 
     def fingerprint(self) -> str:
-        """Stable content digest; equal iff snapshots are byte-identical
-        (same digest a :class:`~repro.cylog.sharding.ShardedRelationStore`
-        over the same facts reports)."""
-        from repro.cylog.sharding import fingerprint_snapshot
-
+        """Stable content digest; equal iff snapshots are byte-identical."""
         return fingerprint_snapshot(self.snapshot())
+
+
+def fingerprint_snapshot(snapshot: Mapping[str, frozenset]) -> str:
+    """A stable content digest of a relation snapshot.
+
+    Rows are serialised by ``repr`` and sorted, so two stores agree on the
+    fingerprint exactly when their snapshots are byte-identical —
+    regardless of hash randomisation.
+    """
+    digest = hashlib.sha256()
+    for predicate in sorted(snapshot):
+        digest.update(predicate.encode("utf-8"))
+        digest.update(b"\x00")
+        for row in sorted(snapshot[predicate], key=repr):
+            digest.update(repr(row).encode("utf-8"))
+            digest.update(b"\x01")
+    return digest.hexdigest()
 
 
 _EMPTY_ROWS: frozenset = frozenset()
@@ -435,10 +415,6 @@ def solutions(
             if stats is not None:
                 if step.index_positions:
                     stats.index_hits += 1
-                    if step.exchange_position is not None:
-                        stats.exchange_hits += 1
-                    elif step.chained:
-                        stats.chained_lookups += 1
                 else:
                     stats.full_scans += 1
                 stats.tuples_joined += len(rows)
@@ -457,10 +433,6 @@ def solutions(
                 if stats is not None:
                     if step.index_positions:
                         stats.index_hits += 1
-                        if step.exchange_position is not None:
-                            stats.exchange_hits += 1
-                        elif step.chained:
-                            stats.chained_lookups += 1
                     else:
                         stats.full_scans += 1
                 if rows:
@@ -774,45 +746,35 @@ class SemiNaiveEngine:
     the from-scratch escape hatch (it also re-plans joins against the live
     base-fact cardinalities).
 
-    With a :class:`~repro.cylog.sharding.ShardConfig` the store is
-    hash-sharded by key prefix.  Each round's (rule, delta atom) tasks run
-    inline through :func:`run_rule_task`; tasks only *read* the store and
-    count work in scratch ``EngineStats``, and the engine merges derived
-    tuples, supports and counters serially in submission order, so
-    results are bit-identical to the single store's.
+    Each round's (rule, delta atom) tasks run inline through
+    :func:`run_rule_task`; tasks only *read* the store and count work in
+    scratch ``EngineStats``, and the engine merges derived tuples,
+    supports and counters serially in submission order.
+
+    ``interval`` enables the interval access path: eligible
+    transitive-closure strata are answered from an engine-side
+    :class:`~repro.cylog.indexes.IntervalHierarchyIndex` (single range
+    scans) instead of fixpoint joins, whenever the edge relation is a
+    forest at run time.  ``interval=False`` keeps the fixpoint path, the
+    oracle the E13 bench and the engine-diff interval leg compare
+    against; results are bit-identical either way.
     """
 
     def __init__(
         self,
         program: Program | CompiledProgram,
-        shard_config: "ShardConfig | None" = None,
+        *,
+        interval: bool = True,
         support_budget: int | None = None,
     ) -> None:
-        from repro.cylog.sharding import ShardConfig
-
-        if shard_config is None:
-            shard_config = ShardConfig()
-        self.shard_config = shard_config
-        self._plan_shards = shard_config.plan_shards
-        self._interval_enabled = shard_config.interval
+        self._interval_enabled = interval
         if isinstance(program, CompiledProgram):
-            if (
-                program.shards == self._plan_shards
-                and program.interval == self._interval_enabled
-            ):
+            if program.interval == interval:
                 self.compiled = program
-            else:  # recompile so the shard layout actually takes effect
-                self.compiled = compile_program(
-                    program.program,
-                    shards=self._plan_shards,
-                    interval=self._interval_enabled,
-                )
+            else:  # recompile so the access path actually takes effect
+                self.compiled = compile_program(program.program, interval=interval)
         else:
-            self.compiled = compile_program(
-                program,
-                shards=self._plan_shards,
-                interval=self._interval_enabled,
-            )
+            self.compiled = compile_program(program, interval=interval)
         self._active = self.compiled
         self._strata = self._build_stratum_info()
         self._planned_cardinalities: dict[str, float] | None = None
@@ -834,22 +796,13 @@ class SemiNaiveEngine:
         self._evicted_base = 0
         #: Snapshot copies made by stores a full run discarded, likewise.
         self._copied_base = 0
-        self._supports = self._new_supports()
+        self._supports = SupportIndex(budget=support_budget)
         self._agg_cache: dict[int, set[Tuple_]] = {}
         self._pending = DeltaLedger()
         self._gain_plans: dict[tuple[int, int], JoinPlan] = {}
         self._loss_plans: dict[tuple[int, int], JoinPlan] = {}
         self._rederive_plans: dict[int, JoinPlan] = {}
         self._agg_group_plans: dict[int, JoinPlan] = {}
-        #: Exchange repartitions demanded by runtime-built plans (negation
-        #: triggers, re-derivation, per-group aggregates) — folded into
-        #: every store the engine builds, on top of the compiled specs.
-        self._extra_repartitions: dict[str, set[int]] = {}
-        #: Observed write rates (EWMA of net delta rows per run, per
-        #: predicate) feeding the write-aware exchange cost model, and the
-        #: rates the active plans were compiled against.
-        self._write_rates: dict[str, float] = {}
-        self._planned_write_rates: dict[str, float] = {}
         #: Interval hierarchy indexes, one per eligible transitive-closure
         #: head.  ``_interval_seen`` remembers each index's cumulative
         #: scan/renumber counters at the last stats fold, so engine stats
@@ -858,45 +811,6 @@ class SemiNaiveEngine:
         self._interval_seen: dict[str, tuple[int, int]] = {}
         self.stats = EngineStats()
         self.runs = 0  # full evaluations performed (observability for benches)
-
-    # -- sharding plumbing -------------------------------------------------
-    def _new_store(self):
-        from repro.cylog.sharding import build_store
-
-        repartitions = {
-            pred: set(positions)
-            for pred, positions in self._active.repartition_specs().items()
-        }
-        for pred, positions in self._extra_repartitions.items():
-            repartitions.setdefault(pred, set()).update(positions)
-        return build_store(
-            self.shard_config, self._active.index_specs(), repartitions
-        )
-
-    def _register_exchange(self, plan: JoinPlan) -> None:
-        """Register a runtime-built plan's exchange repartitions with the
-        live store (and remember them for stores built later)."""
-        if not (self.shard_config.sharded and self.shard_config.exchange):
-            return
-        for step in plan.steps:
-            if step.exchange_position is None:
-                continue
-            literal = step.literal
-            atom = literal.atom if isinstance(literal, Negation) else literal
-            self._extra_repartitions.setdefault(atom.predicate, set()).add(
-                step.exchange_position
-            )
-            if self._store is not None:
-                self._store.ensure_repartition(  # type: ignore[union-attr]
-                    atom.predicate, step.exchange_position
-                )
-
-    def _new_supports(self) -> SupportIndex:
-        if self.shard_config.sharded:
-            return ShardedSupportIndex(
-                self.shard_config.shards, budget=self._support_budget
-            )
-        return SupportIndex(budget=self._support_budget)
 
     # -- fact management ---------------------------------------------------
     def add_facts(self, predicate: str, rows: Iterable[Tuple_]) -> int:
@@ -985,23 +899,12 @@ class SemiNaiveEngine:
             predicate: float(len(rows))
             for predicate, rows in self._base_facts.items()
         }
-        if (
-            cardinalities == self._planned_cardinalities
-            and self._write_rates == self._planned_write_rates
-        ):
+        if cardinalities == self._planned_cardinalities:
             return
         self._planned_cardinalities = cardinalities
-        self._recompile_active(cardinalities)
-
-    def _recompile_active(self, cardinalities: Mapping[str, float] | None) -> None:
-        """Swap in freshly compiled plans (live cardinalities + observed
-        write rates) and drop every plan-derived cache."""
-        self._planned_write_rates = dict(self._write_rates)
         self._active = compile_program(
             self.compiled.program,
             cardinalities=cardinalities,
-            shards=self._plan_shards,
-            write_rates=self._write_rates or None,
             interval=self._interval_enabled,
         )
         self._strata = self._build_stratum_info()
@@ -1010,88 +913,6 @@ class SemiNaiveEngine:
         self._rederive_plans.clear()
         self._agg_group_plans.clear()
         self._record_plans()
-
-    # -- write-aware exchange costing ---------------------------------------
-    def _observe_write_rates(
-        self,
-        added: Mapping[str, frozenset],
-        removed: Mapping[str, frozenset],
-    ) -> None:
-        """Fold one incremental run's net deltas into the per-predicate
-        write-rate EWMA (see ``WRITE_RATE_ALPHA``)."""
-        samples: dict[str, float] = {}
-        for mapping in (added, removed):
-            for predicate, rows in mapping.items():
-                samples[predicate] = samples.get(predicate, 0.0) + float(len(rows))
-        rates = self._write_rates
-        for predicate in list(rates):
-            if predicate not in samples:
-                decayed = rates[predicate] * (1.0 - WRITE_RATE_ALPHA)
-                if decayed < WRITE_RATE_FLOOR:
-                    del rates[predicate]
-                else:
-                    rates[predicate] = decayed
-        for predicate, sample in samples.items():
-            previous = rates.get(predicate)
-            rates[predicate] = (
-                sample
-                if previous is None
-                else (1.0 - WRITE_RATE_ALPHA) * previous + WRITE_RATE_ALPHA * sample
-            )
-
-    def _write_replan_due(self) -> bool:
-        """True when an observed write rate crossed the break-even of an
-        exchange/chained decision in the active plans, i.e. recompiling
-        with the rates would flip at least one access path."""
-        if not self.shard_config.exchange:
-            return False
-        if not self._write_rates and not self._planned_write_rates:
-            return False
-        for rule in self._active.rules:
-            plans = [rule.join_plan, *rule.delta_plans.values()]
-            plans.extend(seed.join_plan for seed in rule.seed_plans)
-            for plan in plans:
-                for step in plan.steps:
-                    if step.exchange_break_even is None:
-                        continue
-                    literal = step.literal
-                    atom = (
-                        literal.atom if isinstance(literal, Negation) else literal
-                    )
-                    rate = self._write_rates.get(atom.predicate)
-                    if rate is None:
-                        continue
-                    if (
-                        step.exchange_position is not None
-                        and rate > step.exchange_break_even
-                    ):
-                        return True  # maintenance now outweighs probe savings
-                    if step.chained and rate < step.exchange_break_even:
-                        return True  # repartition would now pay its way
-        return False
-
-    def _replan_for_writes(self) -> None:
-        """Mid-stream replan when observed write rates cross a break-even.
-
-        Recompiles against the live rates and registers any newly promoted
-        repartitions on the live store (demoted ones stay — unused but
-        correct).  Purely cost-level: fixpoints and reported deltas are
-        unchanged.
-        """
-        if not self._write_replan_due():
-            return
-        self.stats.write_replans += 1
-        self._recompile_active(self._planned_cardinalities)
-        if (
-            self._store is not None
-            and self.shard_config.sharded
-            and self.shard_config.exchange
-        ):
-            for predicate, positions in self._active.repartition_specs().items():
-                for position in positions:
-                    self._store.ensure_repartition(  # type: ignore[union-attr]
-                        predicate, position
-                    )
 
     def _record_plans(self) -> None:
         self.stats.plans = {
@@ -1173,21 +994,10 @@ class SemiNaiveEngine:
                 if not isinstance(literal, Negation)
             ]
             plan, _ = build_join_plan(
-                literals,
-                first=negation.atom,
-                best_effort=True,
-                shards=self._plan_shards,
-                write_rates=self._write_rates or None,
+                literals, first=negation.atom, best_effort=True
             )
         else:
-            literals = list(rule.rule.body)
-            plan, _ = build_join_plan(
-                literals,
-                first=negation.atom,
-                shards=self._plan_shards,
-                write_rates=self._write_rates or None,
-            )
-        self._register_exchange(plan)
+            plan, _ = build_join_plan(list(rule.rule.body), first=negation.atom)
         cache[key] = plan  # type: ignore[index]
         return plan
 
@@ -1202,13 +1012,7 @@ class SemiNaiveEngine:
                 for term in rule.rule.head.terms
                 if isinstance(term, Var) and not term.is_anonymous
             }
-            plan, _ = build_join_plan(
-                rule.rule.body,
-                initial_bound=head_vars,
-                shards=self._plan_shards,
-                write_rates=self._write_rates or None,
-            )
-            self._register_exchange(plan)
+            plan, _ = build_join_plan(rule.rule.body, initial_bound=head_vars)
             self._rederive_plans[rule_index] = plan
         return plan
 
@@ -1532,12 +1336,8 @@ class SemiNaiveEngine:
         plan = self._agg_group_plans.get(rule_index)
         if plan is None:
             plan, _ = build_join_plan(
-                rule.rule.body,
-                initial_bound={v.name for v in group_vars},
-                shards=self._plan_shards,
-                write_rates=self._write_rates or None,
+                rule.rule.body, initial_bound={v.name for v in group_vars}
             )
-            self._register_exchange(plan)
             self._agg_group_plans[rule_index] = plan
         agg_pred = (
             _agg_support_pred(head.predicate, rule_index)
@@ -1644,11 +1444,11 @@ class SemiNaiveEngine:
         self._pending = DeltaLedger()  # a from-scratch load covers everything
         self._replan()
         previous = self._store.snapshot() if self._store is not None else {}
-        store = self._new_store()
+        store = RelationStore(self._active.index_specs())
         self._evicted_base += self._supports.evicted
         if self._store is not None:
             self._copied_base += self._store.tuples_copied()
-        self._supports = self._new_supports()
+        self._supports = SupportIndex(budget=self._support_budget)
         self._agg_cache = {}
         for predicate, rows in self._base_facts.items():
             if not rows:
@@ -1726,10 +1526,6 @@ class SemiNaiveEngine:
         store = self._store
         assert store is not None
         self.stats.incremental_runs += 1
-        # Rates observed over previous runs may have crossed an exchange
-        # break-even; replan before propagating so this run's probes
-        # already take the cheaper access path.
-        self._replan_for_writes()
         pending, self._pending = self._pending, DeltaLedger()
         changes = DeltaLedger()
         for predicate in pending.predicates():
@@ -1749,7 +1545,6 @@ class SemiNaiveEngine:
         for info in self._strata:
             self._step_stratum(store, info, changes, self.stats)
         added_map, removed_map = changes.as_mappings()
-        self._observe_write_rates(added_map, removed_map)
         return EvaluationResult(store.snapshot(), added_map, removed_map)
 
     def _recompute_stratum(

@@ -26,21 +26,15 @@ changed:
   queued for the engine's re-derivation phase, which restores everything
   still derivable from the surviving facts.
 
-Sharding extends the support machinery: :class:`ShardedSupportIndex`
-partitions the wildcard reverse index by the dependency row's key-prefix
-shard, so a deletion cascade scans only the patterns that could possibly
-match the retracted row (1/N of them) instead of every anonymous-variable
-pattern of the predicate.  The index is only ever touched by the engine's
-serial merge — process workers return derivations, never record them —
-so it needs no locking.
+The support index is only ever touched by the engine's serial merge —
+evaluation tasks return derivations, never record them — so it needs no
+locking.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
-
-from repro.cylog.indexes import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.cylog.engine import EngineStats, RelationStore
@@ -142,6 +136,29 @@ def _matches(pattern: Tuple_, row: Tuple_) -> bool:
     return all(p is None or _strict_eq(p, value) for p, value in zip(pattern, row))
 
 
+#: A wildcard pattern's shape: its arity and its concrete positions.
+Shape = tuple[int, tuple[int, ...]]
+#: Projected values plus their bool mask: equal exactly when every value
+#: is equal under :func:`_strict_eq`.
+StrictKey = tuple[Tuple_, tuple[bool, ...]]
+
+
+def _strict_key(values: Tuple_) -> StrictKey:
+    """A dict key that keeps ``True`` and ``1`` apart (plain tuple keys
+    conflate them), while ``1`` and ``1.0`` stay equal."""
+    return values, tuple(isinstance(value, bool) for value in values)
+
+
+def _wild_slot(pattern: Tuple_) -> tuple[Shape, StrictKey]:
+    """Where a wildcard pattern lives in the reverse index: a row matches
+    the pattern exactly when its values at the pattern's concrete
+    positions have the pattern's strict key."""
+    positions = tuple(i for i, value in enumerate(pattern) if value is not None)
+    return (len(pattern), positions), _strict_key(
+        tuple(pattern[i] for i in positions)
+    )
+
+
 class SupportIndex:
     """Derivation provenance: tuple -> supports, body row -> dependents.
 
@@ -149,9 +166,10 @@ class SupportIndex:
     "which derivations consumed this row?" so a deletion can cascade in time
     proportional to the affected provenance, not the database.  Anonymous
     variables leave ``None`` holes in the recorded body row; those supports
-    are indexed per predicate and matched by pattern on deletion (the engine
-    re-checks whether *another* row still satisfies the hole before the
-    support is dropped).
+    are hashed on the pattern's concrete positions, so a deletion probes
+    once per distinct pattern shape (the engine re-checks whether
+    *another* row still satisfies the hole before the support is
+    dropped).
 
     ``budget`` caps the number of supports held (``None`` = unbounded).
     The cap is *admission-based*: once full, new derivations are not
@@ -168,8 +186,9 @@ class SupportIndex:
         self._supports: dict[tuple[str, Tuple_], set[SupportKey]] = {}
         #: pred -> exact body row -> supports consuming it.
         self._exact: dict[str, dict[Tuple_, set[SupportRef]]] = {}
-        #: pred -> wildcard pattern -> supports consuming a matching row.
-        self._wild: dict[str, dict[Tuple_, set[SupportRef]]] = {}
+        #: pred -> pattern shape -> strict key of the pattern's concrete
+        #: values -> supports consuming a matching row.
+        self._wild: dict[str, dict[Shape, dict[StrictKey, set[SupportRef]]]] = {}
         self.budget = budget
         self._size = 0
         #: Derivations refused because the index was at budget.
@@ -265,9 +284,12 @@ class SupportIndex:
                 if not per_pred:
                     del self._exact[dep_pred]
 
-    # -- wildcard reverse index (overridden by the sharded variant) --------
+    # -- wildcard reverse index -------------------------------------------
     def _wild_add(self, dep_pred: str, pattern: Tuple_, ref: SupportRef) -> None:
-        self._wild.setdefault(dep_pred, {}).setdefault(pattern, set()).add(ref)
+        shape, key = _wild_slot(pattern)
+        self._wild.setdefault(dep_pred, {}).setdefault(shape, {}).setdefault(
+            key, set()
+        ).add(ref)
 
     def _wild_discard(
         self, dep_pred: str, pattern: Tuple_, ref: SupportRef
@@ -275,24 +297,41 @@ class SupportIndex:
         per_pred = self._wild.get(dep_pred)
         if per_pred is None:
             return
-        refs = per_pred.get(pattern)
+        shape, key = _wild_slot(pattern)
+        per_shape = per_pred.get(shape)
+        if per_shape is None:
+            return
+        refs = per_shape.get(key)
         if refs is None:
             return
         refs.discard(ref)
         if not refs:
-            del per_pred[pattern]
-            if not per_pred:
-                del self._wild[dep_pred]
+            del per_shape[key]
+            if not per_shape:
+                del per_pred[shape]
+                if not per_pred:
+                    del self._wild[dep_pred]
 
     def _wild_matches(
         self, predicate: str, row: Tuple_
     ) -> list[tuple[SupportRef, Tuple_]]:
+        """One dict probe per pattern shape of ``predicate``; the strict
+        key keeps a ``(True, _)`` pattern from matching the row
+        ``(1, 5)``."""
         per_pred = self._wild.get(predicate)
         if not per_pred:
             return []
         out: list[tuple[SupportRef, Tuple_]] = []
-        for pattern, refs in per_pred.items():
-            if len(pattern) == len(row) and _matches(pattern, row):
+        arity = len(row)
+        for (width, positions), per_shape in per_pred.items():
+            if width != arity:
+                continue
+            refs = per_shape.get(_strict_key(tuple(row[p] for p in positions)))
+            if refs:
+                # The row's own values are strictly equal to the pattern's.
+                pattern = tuple(
+                    value if p in positions else None for p, value in enumerate(row)
+                )
                 out.extend((ref, pattern) for ref in refs)
         return out
 
@@ -312,91 +351,6 @@ class SupportIndex:
         if exact is not None:
             out.extend((ref, None) for ref in exact.get(row, ()))
         out.extend(self._wild_matches(predicate, row))
-        return out
-
-
-class ShardedSupportIndex(SupportIndex):
-    """A support index whose wildcard reverse index is hash-sharded.
-
-    Plain :class:`SupportIndex` scans *every* anonymous-variable pattern of
-    a predicate on each deletion cascade step — O(distinct patterns) per
-    retracted row.  Here patterns are partitioned by the
-    :func:`~repro.cylog.indexes.stable_hash` shard of their key prefix
-    (first position), with patterns whose prefix is itself anonymous in a
-    catch-all bucket: a retracted row can only match patterns in its own
-    shard or the catch-all, so the scan touches ~1/N of the patterns.
-    This is where sharding pays off on retraction-heavy churn.
-    """
-
-    def __init__(
-        self,
-        n_shards: int,
-        budget: int | None = None,
-    ) -> None:
-        super().__init__(budget=budget)
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.n_shards = n_shards
-        #: pred -> shard id (-1 = anonymous prefix) -> pattern -> refs.
-        self._wild_shards: dict[
-            str, dict[int, dict[Tuple_, set[SupportRef]]]
-        ] = {}
-
-    def _pattern_shard(self, pattern: Tuple_) -> int:
-        if pattern and pattern[0] is not None:
-            return stable_hash(pattern[0]) % self.n_shards
-        return -1
-
-    def _wild_add(self, dep_pred: str, pattern: Tuple_, ref: SupportRef) -> None:
-        self._wild_shards.setdefault(dep_pred, {}).setdefault(
-            self._pattern_shard(pattern), {}
-        ).setdefault(pattern, set()).add(ref)
-
-    def _wild_discard(
-        self, dep_pred: str, pattern: Tuple_, ref: SupportRef
-    ) -> None:
-        per_pred = self._wild_shards.get(dep_pred)
-        if per_pred is None:
-            return
-        shard = self._pattern_shard(pattern)
-        per_shard = per_pred.get(shard)
-        if per_shard is None:
-            return
-        refs = per_shard.get(pattern)
-        if refs is None:
-            return
-        refs.discard(ref)
-        if not refs:
-            del per_shard[pattern]
-            if not per_shard:
-                del per_pred[shard]
-                if not per_pred:
-                    del self._wild_shards[dep_pred]
-
-    def _wild_matches(
-        self, predicate: str, row: Tuple_
-    ) -> list[tuple[SupportRef, Tuple_]]:
-        per_pred = self._wild_shards.get(predicate)
-        if not per_pred:
-            return []
-        buckets: list[dict[Tuple_, set[SupportRef]]] = []
-        if row:
-            # A pattern with a concrete prefix only matches rows whose
-            # prefix hashes to the same shard: stable_hash is
-            # equality-consistent, so 1 / 1.0 / True land together and the
-            # strict-equality match below does the bool/int filtering,
-            # exactly as on the single store's conflating buckets.
-            routed = per_pred.get(stable_hash(row[0]) % self.n_shards)
-            if routed:
-                buckets.append(routed)
-        catch_all = per_pred.get(-1)
-        if catch_all:
-            buckets.append(catch_all)
-        out: list[tuple[SupportRef, Tuple_]] = []
-        for bucket in buckets:
-            for pattern, refs in bucket.items():
-                if len(pattern) == len(row) and _matches(pattern, row):
-                    out.extend((ref, pattern) for ref in refs)
         return out
 
 

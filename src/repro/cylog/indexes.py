@@ -18,7 +18,6 @@ Three consumers share this module:
 
 from __future__ import annotations
 
-import zlib
 from bisect import bisect_left
 from typing import Any, Iterable, Iterator
 
@@ -26,28 +25,6 @@ Key = tuple
 Positions = tuple[int, ...]
 
 _EMPTY: frozenset = frozenset()
-
-
-def stable_hash(value: Any) -> int:
-    """A process-independent, equality-consistent hash for shard routing.
-
-    Two requirements pull in different directions.  Routing must be
-    *reproducible across processes*: Python's built-in ``hash`` is
-    randomized per process for strings (``PYTHONHASHSEED``), which would
-    make shard assignment — and therefore per-shard fingerprints —
-    unreproducible, so strings hash through ``crc32`` of their ``repr``.
-    And routing must be *consistent with the store's equality*: tuple sets
-    and index buckets use Python ``==``, under which ``1 == 1.0 == True``,
-    so numerically equal keys must land in the same shard or a sharded
-    lookup would miss rows the single store finds.  Numbers therefore
-    route through Python's numeric ``hash``, which is deterministic and
-    equality-consistent by construction (the join layer's strict
-    bool-vs-int filtering happens *after* the probe, exactly as it does on
-    the single store's conflating hash buckets).
-    """
-    if isinstance(value, (bool, int, float)):
-        return hash(value) & 0xFFFFFFFF
-    return zlib.crc32(repr(value).encode("utf-8"))
 
 
 class MultiKeyHashIndex:

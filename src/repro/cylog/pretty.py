@@ -121,13 +121,10 @@ def open_decl_to_source(decl: OpenDecl) -> str:
 def plan_step_to_source(step) -> str:
     """Render one plan step with its access path annotation.
 
-    On plans compiled for a sharded store, keyed probes additionally show
-    their shard routing: ``exchange(p)`` marks a repartition step (the
-    probe routes through a re-hashed copy of the relation keyed on term
-    position ``p``) and ``chained`` a probe that fans over every shard.
-    ``interval`` marks a step whose rule belongs to an interval-answered
-    closure: the engine serves the stratum from the
-    :class:`~repro.cylog.indexes.IntervalHierarchyIndex` range scans
+    ``idx(p,...)`` marks a hash-index probe on term positions ``p`` and
+    ``scan`` a full scan.  ``interval`` marks a step whose rule belongs
+    to an interval-answered closure: the engine serves the stratum from
+    the :class:`~repro.cylog.indexes.IntervalHierarchyIndex` range scans
     while the annotated plan stays behind as the fixpoint fallback.
     """
     base = literal_to_source(step.literal)
@@ -135,10 +132,6 @@ def plan_step_to_source(step) -> str:
         if step.index_positions:
             positions = ",".join(str(p) for p in step.index_positions)
             access = f"idx({positions})"
-            if getattr(step, "exchange_position", None) is not None:
-                access += f" exchange({step.exchange_position})"
-            elif getattr(step, "chained", False):
-                access += " chained"
             if getattr(step, "interval", False):
                 access += " interval"
             return f"{base} [{access}]"

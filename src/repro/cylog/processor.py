@@ -30,7 +30,6 @@ from repro.cylog.ast import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.config import RuntimeConfig
-    from repro.cylog.sharding import ShardConfig
 from repro.cylog.engine import EngineStats, EvaluationResult, SemiNaiveEngine
 from repro.cylog.errors import CyLogTypeError
 from repro.cylog.incremental import DeltaLedger
@@ -58,13 +57,9 @@ RevocationListener = Callable[[list[TaskRequest]], None]
 class CyLogProcessor:
     """Interprets one CyLog project description (paper §2.1).
 
-    ``config`` (a :class:`repro.config.RuntimeConfig`) selects a
-    hash-sharded relation store and a support-index memory budget for
-    the underlying engine; results are identical to the default
-    single-store configuration — the shard-diff CI oracle gates on it.
-    Engine-level code can hand a raw
-    :class:`~repro.cylog.sharding.ShardConfig` to
-    :class:`~repro.cylog.engine.SemiNaiveEngine` directly.
+    ``config`` (a :class:`repro.config.RuntimeConfig`) sets the
+    underlying engine's support-index memory budget; results are
+    identical at any budget (``tests/cylog/test_support_budget.py``).
     """
 
     def __init__(
@@ -73,15 +68,11 @@ class CyLogProcessor:
         *,
         config: "RuntimeConfig | None" = None,
     ) -> None:
-        shard_config: "ShardConfig | None" = None
-        support_budget = None
-        if config is not None:
-            shard_config = config.to_shard_config()
-            support_budget = config.support_budget
         program = parse_program(source) if isinstance(source, str) else source
         self.compiled = compile_program(program)
         self.engine = SemiNaiveEngine(
-            self.compiled, shard_config=shard_config, support_budget=support_budget
+            self.compiled,
+            support_budget=config.support_budget if config is not None else None,
         )
         self._answered: set[tuple[str, Tuple_]] = set()
         self._seen_requests: dict[tuple[str, Tuple_], TaskRequest] = {}

@@ -47,30 +47,6 @@ DEFAULT_CARDINALITY = 1000.0
 #: Estimated fraction of a relation surviving one bound (equality) term.
 BOUND_SELECTIVITY = 0.1
 
-#: Exchange cost model (only consulted when compiling for a sharded store,
-#: ``shards > 1``).  A probe whose index key misses the shard key prefix
-#: must chain every shard's bucket — ``shards - 1`` extra bucket probes at
-#: this relative overhead each — unless the store keeps an exchange
-#: repartition (a re-hashed copy of the relation routed on the join key).
-#: The repartition costs one extra maintained copy.  Statically (no
-#: observed traffic yet) that copy is amortised over
-#: ``EXCHANGE_AMORTIZE_ROUNDS`` evaluations because it is maintained
-#: incrementally, exactly like the persistent hash indexes.  Once the
-#: engine has *observed* per-relation write rates (delta rows per run,
-#: see ``SemiNaiveEngine`` ``write_rates``) the maintenance charge becomes
-#: ``REPARTITION_ROW_COST × write_rate`` — a repartition on a write-hot
-#: relation pays for every delta row twice (primary + copy), so heavy
-#: inflow can demote it back to chained probes, and a repartition on a
-#: cold relation is nearly free regardless of its cardinality.
-CHAINED_PROBE_OVERHEAD = 1.0
-REPARTITION_ROW_COST = 2.0
-EXCHANGE_AMORTIZE_ROUNDS = 50.0
-
-#: Estimated binding tuples flowing into a step are clamped here so deep
-#: bodies cannot overflow the float cost model.
-MAX_INFLOW = 1e9
-
-
 @dataclass(frozen=True)
 class PlanStep:
     """One ordered body literal plus the index key chosen at plan time.
@@ -79,28 +55,12 @@ class PlanStep:
     be bound (constants, or variables bound by earlier steps) when the step
     runs; the engine keeps a persistent hash index on exactly these
     positions.  Empty positions mean a full scan.
-
-    On a sharded store a keyed probe has one of three access paths, fixed
-    here at plan time: *prefix-routed* (the key covers position 0 — one
-    shard probed, no annotation), *exchanged* (``exchange_position`` names
-    the term position whose registered repartition the probe routes
-    through — one shard probed), or *chained* (``chained`` is True — every
-    shard's bucket probed).  The exchange cost model below decides between
-    the last two.
     """
 
     literal: BodyLiteral
     index_positions: tuple[int, ...] = ()
     estimated_cost: float = 0.0
-    exchange_position: int | None = None
-    chained: bool = False
-    #: Write-rate break-even of the exchange/chained decision (rows per
-    #: run): with an observed write rate *above* it chaining is cheaper,
-    #: *below* it the repartition pays its way.  ``None`` for prefix-routed
-    #: and unkeyed steps, where there is no decision to revisit.  Excluded
-    #: from comparison so plans stay comparable across cost inputs.
-    exchange_break_even: float | None = field(default=None, compare=False)
-    #: Fourth access path: the step belongs to a transitive-closure rule
+    #: Third access path: the step belongs to a transitive-closure rule
     #: the engine answers from an :class:`~repro.cylog.indexes.
     #: IntervalHierarchyIndex` range scan instead of fixpoint joins —
     #: valid only while the edge relation stays a forest (the index's
@@ -199,10 +159,8 @@ class IntervalSpec:
 class CompiledProgram:
     """Statically validated program ready for evaluation.
 
-    ``shards`` records the shard count the plans were compiled for (1 for
-    the single store); engines recompile when their configuration calls
-    for a different value.  ``interval``
-    records whether the interval access path was enabled at compile time;
+    ``interval`` records whether the interval access path was enabled at
+    compile time (engines recompile when theirs differs);
     ``interval_specs`` maps each eligible transitive-closure head to its
     :class:`IntervalSpec` (empty when disabled or nothing qualifies).
     """
@@ -212,7 +170,6 @@ class CompiledProgram:
     strata_count: int
     predicate_strata: dict[str, int] = field(compare=False)
     is_monotone: bool = True
-    shards: int = 1
     interval: bool = True
     interval_specs: dict[str, IntervalSpec] = field(
         default_factory=dict, compare=False
@@ -248,28 +205,6 @@ class CompiledProgram:
         for decl in self.program.opens:
             if decl.key_positions:
                 specs.setdefault(decl.name, set()).add(tuple(decl.key_positions))
-        return specs
-
-    def repartition_specs(self) -> dict[str, set[int]]:
-        """Every (predicate, route position) exchange repartition any plan
-        decided to probe through, so the sharded store can register and
-        maintain the re-hashed copies before the first probe."""
-        specs: dict[str, set[int]] = {}
-
-        def collect(plan: JoinPlan) -> None:
-            for step in plan.steps:
-                if step.exchange_position is None:
-                    continue
-                literal = step.literal
-                atom = literal.atom if isinstance(literal, Negation) else literal
-                specs.setdefault(atom.predicate, set()).add(step.exchange_position)
-
-        for rule in self.rules:
-            collect(rule.join_plan)
-            for delta_plan in rule.delta_plans.values():
-                collect(delta_plan)
-            for seed in rule.seed_plans:
-                collect(seed.join_plan)
         return specs
 
 
@@ -333,75 +268,20 @@ def _fresh_var_count(atom: Atom, bound: set[str]) -> int:
     )
 
 
-def _exchange_choice(
-    atom: Atom,
-    positions: tuple[int, ...],
-    cardinalities: Mapping[str, float],
-    shards: int,
-    inflow: float,
-    write_rates: Mapping[str, float] | None = None,
-) -> tuple[int | None, bool, float | None]:
-    """``(exchange_position, chained, break_even)`` for one keyed probe.
-
-    Only meaningful when compiling for a sharded store and the index key
-    misses the shard key prefix.  Chaining costs ``shards - 1`` extra
-    bucket probes per binding tuple reaching the step.  A repartition
-    costs one extra maintained copy of the relation: charged
-    ``REPARTITION_ROW_COST × write_rate`` per run when the engine has
-    observed how many delta rows the relation takes per run
-    (``write_rates``), else the static cardinality-over-
-    ``EXCHANGE_AMORTIZE_ROUNDS`` amortization.  The cheaper side wins;
-    ties go to the repartition (probes recur every round).  ``break_even``
-    is the write rate at which the two sides meet — the engine replans
-    when an observed rate crosses it.
-    """
-    if shards <= 1 or not positions or 0 in positions:
-        return None, False, None
-    chained_extra = inflow * (shards - 1) * CHAINED_PROBE_OVERHEAD
-    break_even = chained_extra / REPARTITION_ROW_COST
-    rate = None if write_rates is None else write_rates.get(atom.predicate)
-    if rate is not None:
-        repartition_cost = REPARTITION_ROW_COST * rate
-    else:
-        repartition_cost = (
-            cardinalities.get(atom.predicate, DEFAULT_CARDINALITY)
-            * REPARTITION_ROW_COST
-            / EXCHANGE_AMORTIZE_ROUNDS
-        )
-    if chained_extra >= repartition_cost:
-        return positions[0], False, break_even
-    return None, True, break_even
-
-
 def _make_step(
     literal: BodyLiteral,
     bound: set[str],
     cardinalities: Mapping[str, float] | None,
-    shards: int = 1,
-    inflow: float = 1.0,
-    write_rates: Mapping[str, float] | None = None,
 ) -> PlanStep:
     if isinstance(literal, Atom):
-        positions = _bound_positions(literal, bound)
         cost = (
             _estimate_cost(literal, bound, cardinalities)
             if cardinalities is not None
             else 0.0
         )
-        exchange_position, chained, break_even = _exchange_choice(
-            literal, positions, cardinalities or {}, shards, inflow, write_rates
-        )
-        return PlanStep(
-            literal, positions, cost, exchange_position, chained, break_even
-        )
+        return PlanStep(literal, _bound_positions(literal, bound), cost)
     if isinstance(literal, Negation):
-        positions = _bound_positions(literal.atom, bound)
-        exchange_position, chained, break_even = _exchange_choice(
-            literal.atom, positions, cardinalities or {}, shards, inflow, write_rates
-        )
-        return PlanStep(
-            literal, positions, 0.0, exchange_position, chained, break_even
-        )
+        return PlanStep(literal, _bound_positions(literal.atom, bound))
     return PlanStep(literal)
 
 
@@ -412,8 +292,6 @@ def build_join_plan(
     cardinalities: Mapping[str, float] | None = None,
     first: BodyLiteral | None = None,
     initial_bound: Iterable[str] = (),
-    shards: int = 1,
-    write_rates: Mapping[str, float] | None = None,
 ) -> tuple[JoinPlan, set[str]]:
     """Greedily order ``literals`` so every literal is ready when reached.
 
@@ -426,27 +304,13 @@ def build_join_plan(
     so index keys can cover them.  With ``best_effort=True`` the builder
     stops silently when nothing more is ready (used for seed plans);
     otherwise unplaceable literals raise :class:`CyLogSafetyError`.
-
-    ``shards > 1`` compiles for a sharded store: each keyed probe whose
-    index key misses the shard key prefix is resolved into an *exchange*
-    step (route through a repartition of the probed relation) or a
-    *chained* one by the exchange cost model — the literal ordering
-    itself is shard-independent, so plans stay comparable across
-    configurations.  ``write_rates`` (predicate -> observed delta rows
-    per run) switches the repartition maintenance charge from the static
-    amortization to the observed write path; see :func:`_exchange_choice`.
     """
     cardinalities = cardinalities if cardinalities is not None else {}
     remaining = [lit for lit in literals if lit is not exclude and lit is not first]
     steps: list[PlanStep] = []
     bound: set[str] = set(initial_bound)
-    #: Estimated binding tuples reaching the next step — the probe count
-    #: the exchange cost model weighs against a repartition.
-    inflow = 1.0
     if first is not None:
-        step = _make_step(first, bound, cardinalities, shards, inflow, write_rates)
-        steps.append(step)
-        inflow = min(max(inflow * max(step.estimated_cost, 1.0), 1.0), MAX_INFLOW)
+        steps.append(_make_step(first, bound, cardinalities))
         bound |= _literal_binds(first)
     while remaining:
         ready_filters = [
@@ -474,12 +338,7 @@ def build_join_plan(
                     remaining.index(atom),
                 ),
             )
-        step = _make_step(chosen, bound, cardinalities, shards, inflow, write_rates)
-        steps.append(step)
-        if isinstance(chosen, Atom):
-            inflow = min(
-                max(inflow * max(step.estimated_cost, 1.0), 1.0), MAX_INFLOW
-            )
+        steps.append(_make_step(chosen, bound, cardinalities))
         remaining.remove(chosen)
         bound |= _literal_binds(chosen)
     return JoinPlan(tuple(steps)), bound
@@ -736,8 +595,6 @@ def _tarjan_sccs(
 def compile_program(
     program: Program,
     cardinalities: Mapping[str, float] | None = None,
-    shards: int = 1,
-    write_rates: Mapping[str, float] | None = None,
     interval: bool = True,
 ) -> CompiledProgram:
     """Validate and compile ``program`` for evaluation.
@@ -746,15 +603,7 @@ def compile_program(
     cost-based join planner; it defaults to the fact counts in the program
     text.  Engines re-invoke compilation with live fact counts before a full
     run, so plans track the actual data.  Every positive body atom gets a
-    delta-first rewrite (:attr:`CompiledRule.delta_plans`).  ``shards > 1`` compiles for a sharded store with the exchange
-    operator enabled: non-prefix keyed probes are resolved into exchange or
-    chained steps, delta-first plans get their shard-alignment route, and
-    :meth:`CompiledProgram.repartition_specs` reports the repartitions the
-    store must maintain.  ``write_rates`` (predicate -> observed delta
-    rows per run) makes the exchange cost model write-aware: repartitions
-    are charged their observed maintenance instead of the static
-    amortization, so a write-hot relation's repartition is demoted to
-    chained probes when maintaining the copy costs more than it saves.
+    delta-first rewrite (:attr:`CompiledRule.delta_plans`).
     ``interval`` enables :func:`detect_interval_specs`:
     eligible transitive-closure rules get every plan step annotated
     ``interval=True`` and the specs recorded on the compiled program, so
@@ -771,23 +620,14 @@ def compile_program(
     for rule in program.rules:
         if rule.head.has_aggregates:
             monotone = False
-        join_plan, bound = build_join_plan(
-            rule.body,
-            cardinalities=stats,
-            shards=shards,
-            write_rates=write_rates,
-        )
+        join_plan, bound = build_join_plan(rule.body, cardinalities=stats)
         _check_head_bound(rule, bound)
         delta_plans: dict[int, JoinPlan] = {}
         for position, step in enumerate(join_plan.steps):
             if not isinstance(step.literal, Atom):
                 continue
             delta_plan, _ = build_join_plan(
-                rule.body,
-                cardinalities=stats,
-                first=step.literal,
-                shards=shards,
-                write_rates=write_rates,
+                rule.body, cardinalities=stats, first=step.literal
             )
             delta_plans[position] = delta_plan
         seed_plans: list[SeedPlan] = []
@@ -802,8 +642,6 @@ def compile_program(
                 exclude=literal,
                 best_effort=True,
                 cardinalities=stats,
-                shards=shards,
-                write_rates=write_rates,
             )
             missing = _unbound_key_vars(literal, decl, seed_bound)
             if missing:
@@ -849,7 +687,6 @@ def compile_program(
         strata_count=strata_count,
         predicate_strata=predicate_strata,
         is_monotone=monotone,
-        shards=shards,
         interval=interval,
         interval_specs=interval_specs,
     )

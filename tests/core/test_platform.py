@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import RuntimeConfig
 from repro.core import Crowd4U, HumanFactors, SkillRequirement, TeamConstraints
 from repro.core.projects import SchemeKind
 from repro.core.relationships import RelationshipStatus
@@ -249,71 +248,6 @@ class TestGuards:
         assert snapshot["workers"] == 6
         assert snapshot["projects"] == 1
         assert "pending" in snapshot["tasks"]
-        assert snapshot["engine_shards"] == 1
-
-
-class TestShardedPlatform:
-    """The platform round on a sharded/parallel project engine must match
-    the default single-store configuration byte for byte."""
-
-    def _populated(self, **kwargs):
-        crowd = Crowd4U(seed=11, **kwargs)
-        for i in range(6):
-            crowd.register_worker(
-                f"worker{i}",
-                HumanFactors(
-                    native_languages=frozenset({"en"}),
-                    languages={"fr": 0.8 if i < 4 else 0.2},
-                    region="tsukuba" if i % 2 == 0 else "paris",
-                    skills={"translation": 0.9 - 0.1 * i},
-                    reliability=0.95,
-                ),
-            )
-        crowd.register_project("subs", "req", SOURCE)
-        return crowd
-
-    def test_sharded_rounds_match_single_store(self):
-        single = self._populated()
-        sharded = self._populated(config=RuntimeConfig(shards=4))
-        try:
-            for _ in range(3):
-                # cross_check runs the built-in eligibility oracle too.
-                single.step(cross_check=True)
-                sharded.step(cross_check=True)
-            p_single = single.processor(next(iter(single.projects.active())).id)
-            p_sharded = sharded.processor(
-                next(iter(sharded.projects.active())).id
-            )
-            assert (
-                p_sharded.engine.store.snapshot()
-                == p_single.engine.store.snapshot()
-            )
-            assert sorted(
-                r.key_values for r in p_sharded.pending_requests()
-            ) == sorted(r.key_values for r in p_single.pending_requests())
-            assert sharded.snapshot()["engine_shards"] == 4
-        finally:
-            sharded.close()
-            single.close()
-
-    def test_sharded_answer_and_revoke_flow(self):
-        crowd = self._populated(config=RuntimeConfig(shards=4))
-        try:
-            project = next(iter(crowd.projects.active()))
-            crowd.step()
-            processor = crowd.processor(project.id)
-            request = processor.pending_requests()[0]
-            processor.supply_answer(request, {"out": "FR"})
-            assert processor.facts("translated")
-            processor.revoke_answer("translate", request.key_values)
-            assert not processor.facts("translated")
-            # The revoked key is demanded again.
-            assert any(
-                r.key_values == request.key_values
-                for r in processor.pending_requests()
-            )
-        finally:
-            crowd.close()
 
 
 class TestSimultaneousOnPlatform:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.config import RuntimeConfig
 from repro.core import Crowd4U, HumanFactors
-from repro.cylog import CyLogProcessor, ShardConfig
+from repro.cylog import CyLogProcessor
 from repro.serving import ServingConfig
 
 
@@ -19,7 +19,7 @@ class TestValidation:
     def test_defaults(self):
         config = RuntimeConfig()
         assert config.backend == "memory"
-        assert config.to_shard_config() == ShardConfig()
+        assert config.support_budget is None
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -50,15 +50,16 @@ class TestValidation:
                 RuntimeConfig().with_changes(**kwargs)
 
     def test_bad_shards_and_budget(self):
-        with pytest.raises(ValueError, match="shards"):
+        # The engine keeps one relation store: ``shards`` is no field.
+        with pytest.raises(TypeError):
             RuntimeConfig(shards=0)
         with pytest.raises(ValueError, match="support_budget"):
             RuntimeConfig(support_budget=-1)
 
     def test_with_changes(self):
-        config = RuntimeConfig().with_changes(shards=4, exchange=False)
-        assert config.shards == 4
-        assert config.to_shard_config() == ShardConfig(shards=4, exchange=False)
+        config = RuntimeConfig().with_changes(support_budget=4)
+        assert config.support_budget == 4
+        assert config.backend == "memory"
 
     def test_build_database_durable(self, tmp_path):
         config = RuntimeConfig(backend="wal", path=tmp_path / "d")
@@ -85,8 +86,8 @@ class TestCrowd4UShim:
         )
 
     def test_config_path_is_warning_free(self, recwarn):
-        platform = Crowd4U(seed=1, config=RuntimeConfig(shards=2))
-        assert platform.shard_config.shards == 2
+        platform = Crowd4U(seed=1, config=RuntimeConfig(support_budget=50))
+        assert platform.config.support_budget == 50
         assert not [w for w in recwarn if w.category is DeprecationWarning]
         platform.close()
 
@@ -104,7 +105,7 @@ class TestCrowd4UShim:
 
     def test_config_paths_equivalent_across_layouts(self):
         old = Crowd4U(seed=5, config=RuntimeConfig())
-        new = Crowd4U(seed=5, config=RuntimeConfig(shards=2))
+        new = Crowd4U(seed=5, config=RuntimeConfig(support_budget=0))
         for platform in (old, new):
             platform.register_worker("ann", self._factors())
             platform.register_project(
@@ -118,12 +119,8 @@ class TestCrowd4UShim:
                 """,
             )
             platform.step()
-        old_snapshot = old.snapshot()
-        new_snapshot = new.snapshot()
-        # Execution layout may differ; the platform state must not.
-        for snapshot in (old_snapshot, new_snapshot):
-            snapshot.pop("engine_shards", None)
-        assert old_snapshot == new_snapshot
+        # Provenance layout may differ; the platform state must not.
+        assert old.snapshot() == new.snapshot()
         old.close()
         new.close()
 
@@ -149,24 +146,19 @@ class TestProcessorShim:
 
     def test_shard_config_kwarg_removed(self):
         with pytest.raises(TypeError):
-            CyLogProcessor("p(1).", shard_config=ShardConfig(shards=2))
-
-    def test_config_plumbs_shards(self):
-        processor = CyLogProcessor("p(1).", config=RuntimeConfig(shards=2))
-        assert processor.engine.shard_config.shards == 2
+            CyLogProcessor("p(1).", shard_config=None)
 
 
 class TestRemovedArguments:
     def test_duplicate_evaluation_knobs_removed(self):
-        """One replica layout, one planner, one shard-layout spelling and
-        one full-round escape hatch (``step(full=True)``): the duplicate
-        arguments are hard TypeErrors."""
+        """One replica layout, one planner and one full-round escape hatch
+        (``step(full=True)``): the duplicate arguments are hard
+        TypeErrors."""
         from repro.cylog import SemiNaiveEngine, compile_program, parse_program
 
         program = parse_program("p(1). q(X) :- p(X).")
         for build in (
             lambda: RuntimeConfig(replica_mode="pruned"),
-            lambda: ShardConfig(replica_mode="pruned"),
             lambda: SemiNaiveEngine(program, planner="cost"),
             lambda: SemiNaiveEngine(program, shards=2),
             lambda: SemiNaiveEngine(program, executor="process"),
@@ -180,11 +172,38 @@ class TestRemovedArguments:
     def test_thread_executor_removed(self):
         """Evaluation runs inline; neither configuration spelling takes an
         executor any more."""
-        for config in (RuntimeConfig, ShardConfig):
+        with pytest.raises(TypeError):
+            RuntimeConfig(executor="thread")
+        with pytest.raises(TypeError):
+            RuntimeConfig(max_workers=2)
+
+    def test_sharding_removed(self):
+        """One relation store: the shard layout, the exchange operator
+        and its write-aware cost inputs are unknown keywords everywhere,
+        and the sharding module is gone."""
+        import repro.cylog
+        from repro.cylog import SemiNaiveEngine, compile_program, parse_program
+
+        program = parse_program("p(1). q(X) :- p(X).")
+        for build in (
+            lambda: RuntimeConfig(shards=2),
+            lambda: RuntimeConfig(exchange=False),
+            lambda: RuntimeConfig().with_changes(shards=2),
+            lambda: SemiNaiveEngine(program, shard_config=None),
+            lambda: compile_program(program, shards=8),
+            lambda: compile_program(program, write_rates={}),
+        ):
             with pytest.raises(TypeError):
-                config(executor="thread")
-            with pytest.raises(TypeError):
-                config(max_workers=2)
+                build()
+        with pytest.raises(ImportError):
+            import repro.cylog.sharding  # noqa: F401
+        for name in (
+            "ShardConfig",
+            "ShardedRelationStore",
+            "ProcessExecutor",
+            "ProcessPoolBrokenError",
+        ):
+            assert not hasattr(repro.cylog, name), name
 
     def test_process_pool_not_imported(self):
         """Importing the platform loads no process-pool machinery."""
@@ -220,7 +239,7 @@ class TestServingSlice:
 
     def test_with_changes_preserves_serving(self):
         config = RuntimeConfig(serving=ServingConfig(queue_depth=7))
-        assert config.with_changes(shards=2).serving.queue_depth == 7
+        assert config.with_changes(support_budget=2).serving.queue_depth == 7
 
     def test_build_server_uses_serving_slice(self):
         config = RuntimeConfig(serving=ServingConfig(max_batch=3))

@@ -2,10 +2,9 @@
 
 ``stratified_program`` builds random stratified programs (negation,
 comparisons, optional aggregate — safe by construction) and ``update_ops``
-random add/retract streams over the EDB predicates.  Both the
-``engine-diff`` oracle (incremental vs from-scratch) and the ``shard-diff``
-oracle (sharded/threaded vs single-store) draw from the same distribution,
-so the two CI gates exercise the same program space.
+random add/retract streams over the EDB predicates, for the
+``engine-diff`` oracle (incremental vs from-scratch).  ``forest_ops``
+churns the tree-shaped ``TREE_PROGRAM`` for its interval leg.
 """
 
 from __future__ import annotations
@@ -68,25 +67,26 @@ def stratified_program(draw) -> str:
         func = draw(st.sampled_from(("count", "sum", "min", "max")))
         lines.append(f"d3(X, {func}<Y>) :- d2(X, Y).")
 
-    # An anonymous-variable projection: exercises the wildcard support
-    # patterns the sharded support index partitions.
+    # Anonymous-variable projections: their supports are wildcard patterns,
+    # which the support index hashes by shape — concrete prefix (d4) and
+    # concrete suffix (d6).
     if draw(st.booleans()):
         lines.append("d4(X) :- e1(X, _).")
+    if draw(st.booleans()):
+        lines.append("d6(Y) :- e2(_, Y).")
 
-    # A join on the *second* positions: the probed atom's index key misses
-    # the shard key prefix, so sharded engines exercise the exchange
-    # repartition (or the chained-lookup fallback) instead of a routed
-    # prefix probe.
+    # A join on the *second* positions: the probe's index key misses
+    # position 0.
     if draw(st.booleans()):
         lines.append("d5(X, Y) :- e1(X, Z), e2(Y, Z).")
     return "\n".join(lines)
 
 
 #: Row values for update streams: small ints plus floats Python's ``==``
-#: conflates with them — shard routing and index buckets must agree with
-#: the single store on exactly this class.  (Bools conflate too but are
-#: rejected by aggregate rules engine-wide; the sharding unit tests cover
-#: their routing directly.)
+#: conflates with them — index buckets and wildcard support patterns must
+#: treat exactly this class as equal.  (Bools conflate too but are
+#: rejected by aggregate rules engine-wide; the support-index unit tests
+#: cover them directly.)
 row_values = st.one_of(constants, st.sampled_from((0.0, 1.0, 2.5)))
 
 #: One update operation: (assert?, predicate, row).

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.cylog.engine import Relation, SemiNaiveEngine, naive_evaluate
+from repro.cylog.engine import (
+    Relation,
+    RelationStore,
+    SemiNaiveEngine,
+    naive_evaluate,
+    run_rule_task,
+)
 from repro.cylog.errors import CyLogTypeError
 from repro.cylog.parser import parse_program
 
@@ -199,8 +205,27 @@ class TestIncremental:
         engine = SemiNaiveEngine(parse_program("p(1). q(X) :- p(X)."))
         assert engine.facts("q") == {(1,)}
 
+    def test_rule_tasks_run_inline_in_submission_order(self):
+        engine = SemiNaiveEngine(
+            parse_program("e(1, 2). e(2, 3). a(X) :- e(X, _). b(Y) :- e(_, Y).")
+        )
+        engine.run()
+        compiled, store = engine._active, engine.store
+        results = [
+            run_rule_task(compiled, store, index, None, None)[0]
+            for index in (1, 0, 1)
+        ]
+        heads = [sorted(row for row, _ in derived) for derived in results]
+        assert heads == [[(2,), (3,)], [(1,), (2,)], [(2,), (3,)]]
+
 
 class TestRelation:
+    def test_store_rejects_arity_mismatch(self):
+        store = RelationStore()
+        store.get("p", 2)
+        with pytest.raises(CyLogTypeError):
+            store.get("p", 3)
+
     def test_match_wildcards(self):
         relation = Relation(3)
         relation.add((1, "a", True))

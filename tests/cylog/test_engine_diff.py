@@ -39,7 +39,6 @@ import hypothesis.strategies as st
 
 from repro.cylog.engine import SemiNaiveEngine, naive_evaluate
 from repro.cylog.parser import parse_program
-from repro.cylog.sharding import ShardConfig
 
 EXAMPLES = int(os.environ.get("ENGINE_DIFF_EXAMPLES", "100"))
 INCR_EXAMPLES = int(os.environ.get("INCR_DIFF_EXAMPLES", "25"))
@@ -145,8 +144,8 @@ def test_interval_leg_matches_fixpoint_lockstep(ops):
     re-enable transitions the non-forest ops provoke — and neither engine
     may fall back to a hidden full re-run."""
     program = parse_program(TREE_PROGRAM)
-    interval = SemiNaiveEngine(program, shard_config=ShardConfig(interval=True))
-    fixpoint = SemiNaiveEngine(program, shard_config=ShardConfig(interval=False))
+    interval = SemiNaiveEngine(program, interval=True)
+    fixpoint = SemiNaiveEngine(program, interval=False)
     interval.run()
     fixpoint.run()
     for op in ops:

@@ -15,16 +15,13 @@ import pytest
 from repro.cylog.engine import SemiNaiveEngine, naive_evaluate
 from repro.cylog.errors import CyLogTypeError
 from repro.cylog.parser import parse_program
-from repro.cylog.sharding import ShardConfig
 
 
 def _engine(source: str, interval: bool = True) -> SemiNaiveEngine:
     """``interval=False`` pins the fixpoint path for tests that assert the
     counting/DRed internals a closure served from the interval index would
     (correctly) bypass."""
-    engine = SemiNaiveEngine(
-        parse_program(source), shard_config=ShardConfig(interval=interval)
-    )
+    engine = SemiNaiveEngine(parse_program(source), interval=interval)
     engine.run()
     return engine
 
@@ -85,6 +82,35 @@ class TestSupportCounting:
         assert engine.run().facts("j") == {(1,)}
         engine.retract_facts("m", [(1, "y")])
         assert engine.run().facts("j") == frozenset()
+
+    def test_wildcard_patterns_keep_bool_int_apart(self):
+        """Supports on ``m(1, _)`` and ``m(True, _)`` are distinct
+        patterns: retracting the only int row drops the first and keeps
+        the second."""
+        engine = _engine("j(Y) :- k(X, Y), m(X, _).")
+        engine.add_facts("k", [(1, "a"), (True, "b")])
+        engine.add_facts("m", [(1, 5), (True, 6)])
+        assert engine.run().facts("j") == {("a",), ("b",)}
+        engine.retract_facts("m", [(1, 5)])
+        result = engine.run()
+        assert result.facts("j") == {("b",)}
+        assert result.removed("j") == {("a",)}
+
+    def test_numeric_keys_conflate_like_scratch(self):
+        """An int-keyed probe finds a float-keyed row, and a wildcard
+        retraction keeps strict bool/int semantics: the retained store
+        equals a from-scratch evaluation after every step."""
+        source = "j(X) :- k(X), m(X, Y).\nd(X) :- k(X), m(X, _)."
+        engine = _engine(source)
+        engine.add_facts("k", [(1,)])
+        engine.add_facts("m", [(1.0, "x"), (True, "y")])
+        engine.run()
+        engine.retract_facts("m", [(1.0, "x")])
+        engine.run()
+        scratch = SemiNaiveEngine(parse_program(source))
+        scratch.add_facts("k", [(1,)])
+        scratch.add_facts("m", [(True, "y")])
+        assert engine.store.snapshot() == scratch.run().relations
 
     def test_support_counts_tracked_after_incremental_addition(self):
         """A second derivation arriving *after* the first run must still

@@ -1,6 +1,6 @@
 """Multi-key index maintenance and engine statistics."""
 
-from repro.cylog import EngineStats, SemiNaiveEngine, ShardConfig, parse_program
+from repro.cylog import EngineStats, SemiNaiveEngine, parse_program
 from repro.cylog.engine import Relation
 from repro.cylog.indexes import MultiKeyHashIndex, TupleIndexSet
 from repro.metrics import Collector
@@ -88,9 +88,7 @@ class TestEngineStats:
     def test_counters_populated_by_a_run(self):
         # interval pinned off: the chain closure is interval-eligible and
         # would otherwise bypass the join counters this test pins.
-        engine = SemiNaiveEngine(
-            parse_program(self.SOURCE), shard_config=ShardConfig(interval=False)
-        )
+        engine = SemiNaiveEngine(parse_program(self.SOURCE), interval=False)
         engine.run()
         stats = engine.stats
         assert stats.full_runs == 1

@@ -14,7 +14,6 @@ import pytest
 from repro.cylog import (
     IntervalHierarchyIndex,
     SemiNaiveEngine,
-    ShardConfig,
     compile_program,
     explain_program,
     parse_program,
@@ -226,7 +225,7 @@ class TestEngineWiring:
         engine.run()
         engine.add_facts("edge", [(3, 1)])  # cycle
         cycled = engine.run()
-        oracle = SemiNaiveEngine(program, shard_config=ShardConfig(interval=False))
+        oracle = SemiNaiveEngine(program, interval=False)
         oracle.add_facts("edge", [(1, 2), (2, 3), (3, 1)])
         assert cycled.facts("tc") == oracle.run().facts("tc")
         engine.retract_facts("edge", [(3, 1)])  # heal

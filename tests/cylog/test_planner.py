@@ -128,107 +128,6 @@ class TestDeltaPlans:
         assert set(rule.delta_plans) == atom_positions
 
 
-class TestExchangePlanning:
-    """The exchange operator's planner half: shard-aware compilation."""
-
-    JOIN = "j(L, R) :- left(L, K), right(R, K)."
-
-    def _compiled(self, source, shards, cardinalities=None):
-        return compile_program(
-            parse_program(source), cardinalities=cardinalities, shards=shards
-        )
-
-    def test_single_store_plans_carry_no_exchange(self):
-        compiled = self._compiled(self.JOIN, shards=1)
-        for step in compiled.rules[0].join_plan.steps:
-            assert step.exchange_position is None
-            assert not step.chained
-        assert compiled.repartition_specs() == {}
-        assert compiled.shards == 1
-
-    def test_non_prefix_probe_becomes_exchange_step(self):
-        compiled = self._compiled(self.JOIN, shards=8)
-        probe = compiled.rules[0].join_plan.steps[1]
-        assert probe.index_positions == (1,)
-        assert probe.exchange_position == 1
-        assert not probe.chained
-        assert compiled.repartition_specs() == {"left": {1}, "right": {1}}
-
-    def test_prefix_aligned_probe_needs_no_exchange(self):
-        compiled = self._compiled("j(X, Y) :- a(X), b(X, Y).", shards=8)
-        for rule in compiled.rules:
-            for step in rule.join_plan.steps:
-                assert step.exchange_position is None
-        assert compiled.repartition_specs() == {}
-
-    def test_tiny_probe_count_prefers_chained(self):
-        # One estimated binding probing a huge relation: the chained
-        # overhead never amortises a repartitioned copy.
-        compiled = self._compiled(
-            "j(L, R) :- left(L, K), right(R, K).",
-            shards=2,
-            cardinalities={"left": 1.0, "right": 1_000_000.0},
-        )
-        probe = compiled.rules[0].join_plan.steps[1]
-        assert probe.exchange_position is None
-        assert probe.chained
-
-    def test_ordering_is_shard_independent(self):
-        source = "r(X, Z) :- a(X, Y), b(Y, Z), c(Z, X), X != Z."
-        cards = {"a": 100.0, "b": 10.0, "c": 1000.0}
-        single = self._compiled(source, 1, cards).rules[0]
-        sharded = self._compiled(source, 8, cards).rules[0]
-        assert _predicates(single.join_plan) == _predicates(sharded.join_plan)
-        for lone, sharded_step in zip(single.join_plan.steps, sharded.join_plan.steps):
-            assert lone.index_positions == sharded_step.index_positions
-
-
-class TestWriteAwareCosting:
-    """The exchange cost model's write-aware half: observed per-relation
-    delta inflow replaces the static amortization window."""
-
-    JOIN = "j(L, R) :- left(L, K), right(R, K)."
-
-    def _probe(self, write_rates=None, cardinalities=None):
-        compiled = compile_program(
-            parse_program(self.JOIN),
-            cardinalities=cardinalities,
-            shards=8,
-            write_rates=write_rates,
-        )
-        return compiled.rules[0].join_plan.steps[1]
-
-    def test_exchange_steps_record_break_even(self):
-        probe = self._probe()
-        assert probe.exchange_position == 1
-        # inflow × (shards-1) × CHAINED_PROBE_OVERHEAD / REPARTITION_ROW_COST
-        assert probe.exchange_break_even is not None
-        assert probe.exchange_break_even > 0
-
-    def test_hot_writes_demote_repartition_to_chained(self):
-        cold = self._probe()
-        hot = self._probe(write_rates={cold.literal.predicate: 1e9})
-        assert cold.exchange_position == 1
-        assert hot.exchange_position is None
-        assert hot.chained
-
-    def test_cold_writes_keep_repartition(self):
-        probe = self._probe(write_rates={"right": 0.01})
-        assert probe.exchange_position == 1
-        assert not probe.chained
-
-    def test_observed_rate_overrides_static_amortization(self):
-        # Static heuristic says chained (tiny inflow, huge relation); a
-        # near-zero observed write rate makes the repartition almost free
-        # and promotes it back to exchange.
-        cards = {"left": 1.0, "right": 1_000_000.0}
-        static = self._probe(cardinalities=cards)
-        assert static.chained
-        promoted = self._probe(cardinalities=cards, write_rates={"right": 0.001})
-        assert promoted.exchange_position == 1
-        assert not promoted.chained
-
-
 class TestExplain:
     def test_explain_rule_shows_access_paths(self):
         rule = _first_rule("r(X, Y) :- a(X), b(X, Y).")
@@ -236,18 +135,6 @@ class TestExplain:
         assert "[scan]" in text
         assert "[idx(0)]" in text
         assert "delta[" in text
-
-    def test_explain_rule_shows_exchange_and_chained_paths(self):
-        compiled = compile_program(
-            parse_program("j(L, R) :- left(L, K), right(R, K)."), shards=8
-        )
-        assert "exchange(1)" in explain_rule(compiled.rules[0])
-        chained = compile_program(
-            parse_program("j(L, R) :- left(L, K), right(R, K)."),
-            cardinalities={"left": 1.0, "right": 1_000_000.0},
-            shards=2,
-        )
-        assert "chained" in explain_rule(chained.rules[0])
 
     def test_explain_program_covers_every_rule(self):
         compiled = compile_program(parse_program(

@@ -1,15 +1,10 @@
 """Cached relation snapshots: results stay true snapshots, clean runs copy
 nothing, and incremental runs copy only the relations they changed.
-
-Every test runs on the single store and on a four-shard store.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.config import RuntimeConfig
-from repro.cylog import CyLogProcessor, SemiNaiveEngine, ShardConfig, parse_program
+from repro.cylog import CyLogProcessor, SemiNaiveEngine, parse_program
 
 PROGRAM = parse_program(
     """
@@ -21,14 +16,8 @@ PROGRAM = parse_program(
     """
 )
 
-STORES = [
-    pytest.param(None, id="single"),
-    pytest.param(ShardConfig(shards=4), id="shards4"),
-]
-
-
-def _engine(shard_config) -> SemiNaiveEngine:
-    engine = SemiNaiveEngine(PROGRAM, shard_config=shard_config)
+def _engine() -> SemiNaiveEngine:
+    engine = SemiNaiveEngine(PROGRAM)
     engine.add_facts("node", [(n,) for n in range(8)])
     engine.add_facts("edge", [(0, 1), (1, 2), (2, 3), (4, 5)])
     return engine
@@ -38,9 +27,8 @@ def _frozen(result) -> dict[str, set]:
     return {name: set(rows) for name, rows in result.relations.items()}
 
 
-@pytest.mark.parametrize("shard_config", STORES)
-def test_held_result_survives_later_runs(shard_config):
-    engine = _engine(shard_config)
+def test_held_result_survives_later_runs():
+    engine = _engine()
     held = engine.run()
     contents = _frozen(held)
     engine.add_facts("edge", [(3, 4), (6, 7)])
@@ -62,9 +50,8 @@ def test_held_result_survives_later_runs(shard_config):
     assert _frozen(later) == held_later
 
 
-@pytest.mark.parametrize("shard_config", STORES)
-def test_clean_runs_share_snapshots(shard_config):
-    engine = _engine(shard_config)
+def test_clean_runs_share_snapshots():
+    engine = _engine()
     engine.run()
     first = engine.run()
     second = engine.run()
@@ -82,9 +69,8 @@ def test_clean_runs_share_snapshots(shard_config):
             assert third.relations[name] is rows
 
 
-@pytest.mark.parametrize("shard_config", STORES)
-def test_tuples_copied_counts_only_changed_relations(shard_config):
-    engine = _engine(shard_config)
+def test_tuples_copied_counts_only_changed_relations():
+    engine = _engine()
     engine.run()
     copied = engine.stats.tuples_copied
     assert copied > 0  # the first run copies the whole fixpoint
@@ -101,15 +87,13 @@ def test_tuples_copied_counts_only_changed_relations(shard_config):
     assert "node" not in changed
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_processor_reads_copy_nothing(shards):
+def test_processor_reads_copy_nothing():
     processor = CyLogProcessor(
         """
         open translate(seg: text, out: text) key (seg) asking "Translate {seg}".
         segment("s1"). segment("s2").
         translated(S, T) :- segment(S), translate(S, T).
-        """,
-        config=RuntimeConfig(shards=shards),
+        """
     )
     processor.pending_requests()
     copied = processor.stats.tuples_copied

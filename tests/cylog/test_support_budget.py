@@ -15,13 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import RuntimeConfig
-from repro.cylog import CyLogProcessor, SemiNaiveEngine, ShardConfig, parse_program
+from repro.cylog import CyLogProcessor, SemiNaiveEngine, parse_program
 from repro.cylog.incremental import SupportIndex
-
-#: Interval pinned off throughout: the ``path`` closure below is
-#: interval-eligible, and interval-owned rows carry no supports — the
-#: budget these tests exist to exercise would never fill.
-_NO_INTERVAL = ShardConfig(interval=False)
 
 _PROGRAM = """
 edge("a","b"). edge("b","c"). edge("c","d"). edge("d","e").
@@ -91,11 +86,14 @@ class TestSupportIndexBudget:
 
 
 class TestBudgetedEngineLockstep:
+    # Interval pinned off throughout: the ``path`` closure is
+    # interval-eligible, and interval-owned rows carry no supports — the
+    # budget these tests exist to exercise would never fill.
     def test_snapshots_identical_and_budget_bites(self):
         program = parse_program(_PROGRAM)
-        reference = SemiNaiveEngine(program, shard_config=_NO_INTERVAL)
+        reference = SemiNaiveEngine(program, interval=False)
         budgeted = SemiNaiveEngine(
-            program, shard_config=_NO_INTERVAL, support_budget=3
+            program, interval=False, support_budget=3
         )
         assert _drive(reference) == _drive(budgeted)
         assert budgeted.stats.supports_evicted > 0
@@ -111,9 +109,9 @@ class TestBudgetedEngineLockstep:
 
     def test_zero_budget_disables_provenance_entirely(self):
         program = parse_program(_PROGRAM)
-        reference = SemiNaiveEngine(program, shard_config=_NO_INTERVAL)
+        reference = SemiNaiveEngine(program, interval=False)
         budgeted = SemiNaiveEngine(
-            program, shard_config=_NO_INTERVAL, support_budget=0
+            program, interval=False, support_budget=0
         )
         assert _drive(reference) == _drive(budgeted)
         assert len(budgeted._supports) == 0
@@ -121,36 +119,17 @@ class TestBudgetedEngineLockstep:
     @pytest.mark.parametrize("budget", [1, 5, 25])
     def test_budget_sweep(self, budget):
         program = parse_program(_PROGRAM)
-        reference = SemiNaiveEngine(program, shard_config=_NO_INTERVAL)
+        reference = SemiNaiveEngine(program, interval=False)
         budgeted = SemiNaiveEngine(
-            program, shard_config=_NO_INTERVAL, support_budget=budget
+            program, interval=False, support_budget=budget
         )
         assert _drive(reference) == _drive(budgeted)
         assert len(budgeted._supports) <= budget
 
-    def test_sharded_budgeted_engine_matches(self):
-        program = parse_program(_PROGRAM)
-        reference = SemiNaiveEngine(program, shard_config=_NO_INTERVAL)
-        budgeted = SemiNaiveEngine(
-            program,
-            shard_config=ShardConfig(shards=4, interval=False),
-            support_budget=3,
-        )
-        sharded = SemiNaiveEngine(
-            program, shard_config=ShardConfig(shards=4, interval=False)
-        )
-        expected = _drive(reference)
-        assert _drive(budgeted) == expected
-        assert budgeted.stats.supports_evicted > 0
-        assert _drive(sharded) == expected
-        for engine in (sharded, budgeted):
-            assert type(engine._supports).__name__ == "ShardedSupportIndex"
-            assert len(engine._supports) == _counted_supports(engine)
-
     def test_full_run_resets_index_but_not_cumulative_evictions(self):
         program = parse_program(_PROGRAM)
         engine = SemiNaiveEngine(
-            program, shard_config=_NO_INTERVAL, support_budget=3
+            program, interval=False, support_budget=3
         )
         _drive(engine)
         evicted_before = engine.stats.supports_evicted

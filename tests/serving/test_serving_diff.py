@@ -51,11 +51,9 @@ def _build_platform(seed: int) -> tuple[Crowd4U, str]:
 def _fingerprint(platform: Crowd4U, project_id: str):
     """Everything that must match: storage bytes, structural summary,
     derived engine facts."""
-    snapshot = platform.snapshot()
-    snapshot.pop("engine_shards", None)
     return (
         dump_canonical(platform.db),
-        repr(sorted(snapshot.items())),
+        repr(sorted(platform.snapshot().items())),
         repr(sorted(platform.processor(project_id).facts("rated"))),
     )
 

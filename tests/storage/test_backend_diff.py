@@ -10,7 +10,7 @@ byte-identical across both, and reopening the WAL database one final
 time must reproduce the same bytes again.
 
 The CI ``backend-diff`` job runs this module with
-``BACKEND_DIFF_EXAMPLES=40``, mirroring the engine/shard/platform diff
+``BACKEND_DIFF_EXAMPLES=40``, mirroring the engine/platform diff
 oracle gates; the local default keeps the tier-1 suite fast.
 """
 

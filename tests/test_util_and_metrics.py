@@ -172,7 +172,7 @@ class TestFormatTable:
         table = format_stats_table({"cylog_engine": EngineStats().as_dict()})
         for counter in (
             "rounds",
-            "write_replans",
+            "tuples_retracted",
             "interval_scans",
             "tuples_copied",
         ):
