@@ -112,14 +112,19 @@ def test_e10e_retraction_churn_vs_full(emit, emit_bench_json):
     engine = runs[-1][0]
     retracted = engine.stats.tuples_retracted
     full_s = float("inf")
+    full_joins = set()
     for _ in range(REPEATS):
+        joined_before = engine.stats.tuples_joined
         start = time.perf_counter()
         engine.run(full=True)
         full_s = min(full_s, time.perf_counter() - start)
+        full_joins.add(engine.stats.tuples_joined - joined_before)
     # The retained store must equal the from-scratch recompute.
     assert engine.store.fingerprint() == fingerprint
+    (full_joined,) = full_joins
 
     speedup = full_s / churn_s if churn_s else float("inf")
+    churn_joined_per_round = churn_joined / CHURN_ROUNDS
     emit_bench_json(
         "E10e",
         {
@@ -138,7 +143,11 @@ def test_e10e_retraction_churn_vs_full(emit, emit_bench_json):
             if churn_s
             else None,
             "tuples_retracted_per_round": round(retracted / CHURN_ROUNDS, 1),
-            "tuples_joined_per_round": round(churn_joined / CHURN_ROUNDS, 1),
+            "tuples_joined_per_round": round(churn_joined_per_round, 1),
+            "full_run_tuples_joined": full_joined,
+            "joins_full_vs_churn": round(full_joined / churn_joined_per_round, 2)
+            if churn_joined
+            else None,
             "speedup_churn_vs_full": round(speedup, 2),
         },
     )
@@ -151,6 +160,8 @@ def test_e10e_retraction_churn_vs_full(emit, emit_bench_json):
             (f"churn round, best of {REPEATS} (ms)", round(churn_s * 1000, 3)),
             (f"full run, best of {REPEATS} (ms)", round(full_s * 1000, 2)),
             ("tuples retracted per round", round(retracted / CHURN_ROUNDS, 1)),
+            ("tuples joined per round", round(churn_joined_per_round, 1)),
+            ("tuples joined by a full run", full_joined),
             ("per-round speedup", round(speedup, 2)),
         ],
         title=(

@@ -23,7 +23,9 @@ Two kinds of committed reference exist, used for different things:
 
 Gated metrics are an explicit catalog, not a wildcard: context metrics
 (absolute rates and latencies, secondary ratios) are reported next to
-them but never gated.
+them but never gated.  ``COUNTER_GATES`` holds deterministic work-counter
+ratios with hard floors: those repeat exactly, so they take no tolerance
+and no baseline.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "E15a": ("speedup_delta_vs_snapshot",),
     "E15b": ("speedup_delta_vs_snapshot",),
     "E15c": ("speedup_delta_vs_snapshot",),
+}
+
+#: scenario -> {metric: floor} for deterministic work-counter ratios:
+#: the same code repeats them exactly, so no tolerance applies, and the
+#: optimised leg must do strictly less work than its baseline (a ratio
+#: of 1.0 fails).
+COUNTER_GATES: dict[str, dict[str, float]] = {
+    # Tuples one full run joins per tuple one churn round joins.
+    "E10e": {"joins_full_vs_churn": 1.0},
 }
 
 #: Reported next to the gated metrics but never gated.
@@ -169,6 +180,20 @@ def main(argv: list[str]) -> int:
                 failures.append(
                     f"{scenario}.{key}: {value:.2f} fell below {floor:.2f} "
                     f"(baseline {floor_base:.2f} - {tolerance:.0%})"
+                )
+        for key, floor in COUNTER_GATES.get(scenario, {}).items():
+            value = _metric(fresh, key)
+            if value is None:
+                failures.append(f"{scenario}.{key}: missing from the smoke record")
+                continue
+            status = "ok" if value > floor else "REGRESSION"
+            print(
+                f"[{status}] {scenario}.{key}: smoke={value:.2f} must exceed "
+                f"{floor:.2f} (work counter, no tolerance)"
+            )
+            if value <= floor:
+                failures.append(
+                    f"{scenario}.{key}: {value:.2f} does not exceed {floor:.2f}"
                 )
         for key in CONTEXT_METRICS.get(scenario, ()):
             value = _metric(fresh, key)

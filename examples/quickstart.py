@@ -17,9 +17,8 @@ from repro import (
     TeamConstraints,
 )
 
-# RuntimeConfig gathers every deployment knob (storage backend, the
-# engine's memory budget, the HTTP front-end); the defaults are an
-# in-memory deployment — see examples/durable_storage.py for a platform
+# RuntimeConfig gathers every deployment knob (storage backend, the HTTP
+# front-end); the defaults are an in-memory deployment — see examples/durable_storage.py for a platform
 # that survives restarts.
 platform = Crowd4U(seed=42, config=RuntimeConfig())
 

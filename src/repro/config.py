@@ -1,12 +1,11 @@
-"""Runtime configuration for platform, processor and server construction.
+"""Runtime configuration for platform and server construction.
 
 :class:`RuntimeConfig` gathers every knob that used to travel as separate
-keyword arguments on ``Crowd4U(...)`` and ``CyLogProcessor(...)`` —
-storage backend, the support-index memory budget and the serving
+keyword arguments on ``Crowd4U(...)`` — storage backend and the serving
 front-end — into one validated value object:
 
 >>> from repro import Crowd4U, RuntimeConfig
->>> platform = Crowd4U(config=RuntimeConfig(support_budget=100_000))
+>>> platform = Crowd4U(config=RuntimeConfig(backend="wal", path="crowd.d"))
 
 ``config=`` is the only spelling.  The serving slice nests as a
 frozen :class:`~repro.serving.config.ServingConfig`
@@ -40,11 +39,6 @@ class RuntimeConfig:
     forwarded to the WAL backend constructor (e.g.
     ``{"compact_every": 1000}``).
 
-    Memory: ``support_budget`` caps how many support entries the
-    incremental engine's provenance index may hold; past the cap the
-    engine degrades affected strata to recompute-on-removal instead of
-    growing without bound (``None`` means unbounded).
-
     Serving: ``serving`` is the nested frozen
     :class:`~repro.serving.config.ServingConfig` — bind address,
     queue depth, tick batch size and backpressure thresholds for the
@@ -54,7 +48,6 @@ class RuntimeConfig:
     backend: str = "memory"
     path: str | Path | None = None
     backend_options: dict[str, Any] = field(default_factory=dict)
-    support_budget: int | None = None
     serving: ServingConfig = field(default_factory=ServingConfig)
 
     def __post_init__(self) -> None:
@@ -66,10 +59,6 @@ class RuntimeConfig:
             raise ValueError(f"backend {self.backend!r} requires a path")
         if self.backend == "memory" and self.path is not None:
             raise ValueError("the memory backend takes no path")
-        if self.support_budget is not None and self.support_budget < 0:
-            raise ValueError(
-                f"support_budget must be >= 0 or None, got {self.support_budget}"
-            )
         if not isinstance(self.serving, ServingConfig):
             raise TypeError(
                 f"serving must be a ServingConfig, got {type(self.serving).__name__}"

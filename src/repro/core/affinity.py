@@ -145,7 +145,7 @@ def language_overlap(a: Worker, b: Worker) -> float:
     if not langs:
         return 0.0
     shared = 0.0
-    for lang in langs:
+    for lang in sorted(langs):
         pa = a.factors.languages.get(lang, 0.0)
         pb = b.factors.languages.get(lang, 0.0)
         shared += min(pa, pb)
@@ -175,7 +175,7 @@ def skill_complementarity(a: Worker, b: Worker) -> float:
         return 0.0
     best_sum = 0.0
     overlap_sum = 0.0
-    for skill in skills:
+    for skill in sorted(skills):
         la = a.factors.skill_level(skill)
         lb = b.factors.skill_level(skill)
         best_sum += max(la, lb)

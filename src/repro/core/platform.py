@@ -430,7 +430,7 @@ class Crowd4U:
             created_at=self.now,
             options=options,
         )
-        processor = CyLogProcessor(cylog_source, config=self.config)
+        processor = CyLogProcessor(cylog_source)
         processor.add_demand_listener(
             lambda requests, pid=project.id: self._materialise_requests(pid, requests)
         )

@@ -103,7 +103,6 @@ class EngineStats(CounterRecord):
     tuples_rederived: int = 0
     overdeletions: int = 0
     supports_recorded: int = 0
-    supports_evicted: int = 0
     stratum_recomputes: int = 0
     agg_recomputes: int = 0
     #: Interval access path: range scans served by the engine-side
@@ -765,7 +764,6 @@ class SemiNaiveEngine:
         program: Program | CompiledProgram,
         *,
         interval: bool = True,
-        support_budget: int | None = None,
     ) -> None:
         self._interval_enabled = interval
         if isinstance(program, CompiledProgram):
@@ -788,15 +786,10 @@ class SemiNaiveEngine:
             self._base_facts.setdefault(fact.atom.predicate, set()).add(row)
             self._base_arity.setdefault(fact.atom.predicate, len(row))
         self._store: RelationStore | None = None
-        #: Support-index memory budget (None = unbounded); see
-        #: SupportIndex.budget for the degradation semantics.
-        self._support_budget = support_budget
-        #: Evictions charged to support indexes already discarded by a
-        #: full run, so stats.supports_evicted stays cumulative.
-        self._evicted_base = 0
-        #: Snapshot copies made by stores a full run discarded, likewise.
+        #: Snapshot copies made by stores a full run discarded, so
+        #: stats.tuples_copied stays cumulative.
         self._copied_base = 0
-        self._supports = SupportIndex(budget=support_budget)
+        self._supports = SupportIndex()
         self._agg_cache: dict[int, set[Tuple_]] = {}
         self._pending = DeltaLedger()
         self._gain_plans: dict[tuple[int, int], JoinPlan] = {}
@@ -871,7 +864,6 @@ class SemiNaiveEngine:
             result = EvaluationResult(self._store.snapshot())
         else:
             result = self._incremental_run()
-        self.stats.supports_evicted = self._evicted_base + self._supports.evicted
         self.stats.tuples_copied = self._copied_base + self._store.tuples_copied()
         return result
 
@@ -1214,7 +1206,7 @@ class SemiNaiveEngine:
         removed row) and additions through the rule's delta-first plans
         (every solution a new row participates in names its group).  A
         changed *negated* input stays a full recompute — provenance only
-        covers positive rows — as does a degraded synthetic support index.
+        covers positive rows.
         """
         body = rule.rule.body
         atoms = [literal for literal in body if isinstance(literal, Atom)]
@@ -1239,8 +1231,6 @@ class SemiNaiveEngine:
                     groups.add(tuple(bindings[v.name] for v in group_vars))
             return groups
         agg_pred = _agg_support_pred(rule.rule.head.predicate, rule_index)
-        if self._supports.degraded_any((agg_pred,)):
-            return None  # incomplete provenance could miss a group
         groups = set()
         for atom_pred in sorted({atom.predicate for atom in atoms}):
             for row in changes.removed(atom_pred):
@@ -1317,7 +1307,6 @@ class SemiNaiveEngine:
         agg_pred = _agg_support_pred(head.predicate, rule_index)
         for row in cached:
             self._supports.discard_tuple(agg_pred, _row_group_key(head, row))
-        self._supports.clear_degraded((agg_pred,))
 
     def _evaluate_agg_groups(
         self,
@@ -1445,10 +1434,9 @@ class SemiNaiveEngine:
         self._replan()
         previous = self._store.snapshot() if self._store is not None else {}
         store = RelationStore(self._active.index_specs())
-        self._evicted_base += self._supports.evicted
         if self._store is not None:
             self._copied_base += self._store.tuples_copied()
-        self._supports = SupportIndex(budget=self._support_budget)
+        self._supports = SupportIndex()
         self._agg_cache = {}
         for predicate, rows in self._base_facts.items():
             if not rows:
@@ -1556,12 +1544,11 @@ class SemiNaiveEngine:
     ) -> None:
         """Re-derive one stratum from scratch and net-diff into ``sink``.
 
-        The escape hatch for budget-degraded provenance: clear the
-        stratum's head relations (and their remaining supports), re-run
-        the full per-stratum evaluation against the already-updated lower
-        strata, and report only the net row changes.  The stratum's
-        provenance is whole again afterwards — until the budget refuses
-        another record.
+        The interval access path's fallback when an edge change breaks
+        the forest shape: clear the stratum's head relations (and their
+        supports), re-run the full per-stratum evaluation against the
+        already-updated lower strata, which re-decides the access path,
+        and report only the net row changes.
         """
         stats.stratum_recomputes += 1
         before: dict[str, frozenset] = {}
@@ -1579,7 +1566,6 @@ class SemiNaiveEngine:
             cached = self._agg_cache.pop(rule_index, None)
             if cached:
                 self._clear_agg_supports(rule_index, rule, cached)
-        self._supports.clear_degraded(info.heads)
         self._eval_stratum_full(store, info, stats)
         for predicate, old_rows in before.items():
             relation = store.maybe(predicate)
@@ -1610,20 +1596,6 @@ class SemiNaiveEngine:
             index for index, preds in info.agg_inputs.items() if preds & touched
         }
         if not (touched & info.referenced or touched & negated or agg_touched):
-            return
-        # Degraded provenance (the support budget refused derivations for
-        # this stratum's heads) is only unsound for removal-side work: a
-        # missing support can make a head tuple wrongly *survive* a
-        # cascade, never wrongly die.  When removals, negation gains or
-        # aggregate changes reach a degraded stratum, fall back to a full
-        # per-stratum recompute; pure additions stay incremental.
-        removal_work = (
-            any(changes.removed(p) for p in touched & info.referenced)
-            or any(changes.added(p) for p in touched & negated)
-            or bool(agg_touched)
-        )
-        if removal_work and self._supports.degraded_any(info.heads):
-            self._recompute_stratum(store, info, changes, stats)
             return
         # Interval-owned closure heads step first: the index turns the
         # edge deltas into the head's exact added/removed closure pairs

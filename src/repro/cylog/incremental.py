@@ -121,10 +121,6 @@ class DeltaLedger:
         return f"<delta ledger +{added}/-{removed}>"
 
 
-def _is_wild(dep_row: Tuple_) -> bool:
-    return any(value is None for value in dep_row)
-
-
 def _strict_eq(a: Any, b: Any) -> bool:
     """Equality that keeps ``True`` and ``1`` apart, like the join layer's
     ``_bind_atom`` (hash indexes conflate them, so set/index hits must be
@@ -170,18 +166,9 @@ class SupportIndex:
     once per distinct pattern shape (the engine re-checks whether
     *another* row still satisfies the hole before the support is
     dropped).
-
-    ``budget`` caps the number of supports held (``None`` = unbounded).
-    The cap is *admission-based*: once full, new derivations are not
-    recorded — ``evicted`` counts them — and the head predicate is marked
-    *degraded*.  Dropping provenance can only make a head tuple wrongly
-    **survive** a deletion cascade (never wrongly die), so the engine
-    compensates by recomputing degraded strata whenever removal work
-    reaches them (see ``SemiNaiveEngine._recompute_stratum``); pure
-    additions never need provenance and stay incremental.
     """
 
-    def __init__(self, budget: int | None = None) -> None:
+    def __init__(self) -> None:
         #: (pred, row) -> its support keys.
         self._supports: dict[tuple[str, Tuple_], set[SupportKey]] = {}
         #: pred -> exact body row -> supports consuming it.
@@ -189,45 +176,16 @@ class SupportIndex:
         #: pred -> pattern shape -> strict key of the pattern's concrete
         #: values -> supports consuming a matching row.
         self._wild: dict[str, dict[Shape, dict[StrictKey, set[SupportRef]]]] = {}
-        self.budget = budget
-        self._size = 0
-        #: Derivations refused because the index was at budget.
-        self.evicted = 0
-        #: Head predicates with incomplete provenance.
-        self._degraded: set[str] = set()
-
-    def __len__(self) -> int:
-        return self._size
-
-    def degraded_any(self, predicates: Iterable[str]) -> bool:
-        """Does any of ``predicates`` have incomplete provenance?"""
-        return not self._degraded.isdisjoint(predicates)
-
-    def clear_degraded(self, predicates: Iterable[str]) -> None:
-        """The engine recomputed these heads from scratch; their provenance
-        is whole again (until the budget refuses another record)."""
-        self._degraded.difference_update(predicates)
 
     def add(self, predicate: str, row: Tuple_, key: SupportKey) -> bool:
-        """Record one derivation; returns True when it was not yet known.
-
-        At budget the derivation is refused (and the head predicate marked
-        degraded) instead of recorded.
-        """
+        """Record one derivation; returns True when it was not yet known."""
         entry = self._supports.setdefault((predicate, row), set())
         if key in entry:
             return False
-        if self.budget is not None and self._size >= self.budget:
-            if not entry:
-                del self._supports[(predicate, row)]
-            self.evicted += 1
-            self._degraded.add(predicate)
-            return False
         entry.add(key)
-        self._size += 1
         ref: SupportRef = (predicate, row, key)
         for dep_pred, dep_row in key[1]:
-            if _is_wild(dep_row):
+            if None in dep_row:
                 self._wild_add(dep_pred, dep_row, ref)
             else:
                 self._exact.setdefault(dep_pred, {}).setdefault(
@@ -247,7 +205,6 @@ class SupportIndex:
         if entry is None or key not in entry:
             return len(entry) if entry is not None else 0
         entry.discard(key)
-        self._size -= 1
         self._unregister((predicate, row, key))
         if not entry:
             del self._supports[(predicate, row)]
@@ -263,13 +220,12 @@ class SupportIndex:
         entry = self._supports.pop((predicate, row), None)
         if not entry:
             return
-        self._size -= len(entry)
         for key in entry:
             self._unregister((predicate, row, key))
 
     def _unregister(self, ref: SupportRef) -> None:
         for dep_pred, dep_row in ref[2][1]:
-            if _is_wild(dep_row):
+            if None in dep_row:
                 self._wild_discard(dep_pred, dep_row, ref)
                 continue
             per_pred = self._exact.get(dep_pred)

@@ -24,12 +24,9 @@ frozenset({('s1', 'S1-FR')})
 from __future__ import annotations
 
 import contextlib
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.cylog.ast import Program
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.config import RuntimeConfig
 from repro.cylog.engine import EngineStats, EvaluationResult, SemiNaiveEngine
 from repro.cylog.errors import CyLogTypeError
 from repro.cylog.incremental import DeltaLedger
@@ -55,25 +52,12 @@ RevocationListener = Callable[[list[TaskRequest]], None]
 
 
 class CyLogProcessor:
-    """Interprets one CyLog project description (paper §2.1).
+    """Interprets one CyLog project description (paper §2.1)."""
 
-    ``config`` (a :class:`repro.config.RuntimeConfig`) sets the
-    underlying engine's support-index memory budget; results are
-    identical at any budget (``tests/cylog/test_support_budget.py``).
-    """
-
-    def __init__(
-        self,
-        source: str | Program,
-        *,
-        config: "RuntimeConfig | None" = None,
-    ) -> None:
+    def __init__(self, source: str | Program) -> None:
         program = parse_program(source) if isinstance(source, str) else source
         self.compiled = compile_program(program)
-        self.engine = SemiNaiveEngine(
-            self.compiled,
-            support_budget=config.support_budget if config is not None else None,
-        )
+        self.engine = SemiNaiveEngine(self.compiled)
         self._answered: set[tuple[str, Tuple_]] = set()
         self._seen_requests: dict[tuple[str, Tuple_], TaskRequest] = {}
         #: Identities demanded by the *current* fixpoint — with retraction

@@ -19,7 +19,7 @@ class TestValidation:
     def test_defaults(self):
         config = RuntimeConfig()
         assert config.backend == "memory"
-        assert config.support_budget is None
+        assert config.backend_options == {}
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -50,16 +50,18 @@ class TestValidation:
                 RuntimeConfig().with_changes(**kwargs)
 
     def test_bad_shards_and_budget(self):
-        # The engine keeps one relation store: ``shards`` is no field.
-        with pytest.raises(TypeError):
-            RuntimeConfig(shards=0)
-        with pytest.raises(ValueError, match="support_budget"):
-            RuntimeConfig(support_budget=-1)
+        # One relation store and unbounded provenance: neither ``shards``
+        # nor ``support_budget`` is a field.
+        for kwargs in ({"shards": 0}, {"support_budget": 4}):
+            with pytest.raises(TypeError):
+                RuntimeConfig(**kwargs)
+            with pytest.raises(TypeError):
+                RuntimeConfig().with_changes(**kwargs)
 
-    def test_with_changes(self):
-        config = RuntimeConfig().with_changes(support_budget=4)
-        assert config.support_budget == 4
-        assert config.backend == "memory"
+    def test_with_changes(self, tmp_path):
+        config = RuntimeConfig().with_changes(backend="wal", path=tmp_path / "d")
+        assert config.backend == "wal"
+        assert RuntimeConfig().backend == "memory"
 
     def test_build_database_durable(self, tmp_path):
         config = RuntimeConfig(backend="wal", path=tmp_path / "d")
@@ -86,8 +88,9 @@ class TestCrowd4UShim:
         )
 
     def test_config_path_is_warning_free(self, recwarn):
-        platform = Crowd4U(seed=1, config=RuntimeConfig(support_budget=50))
-        assert platform.config.support_budget == 50
+        config = RuntimeConfig(serving=ServingConfig(max_batch=5))
+        platform = Crowd4U(seed=1, config=config)
+        assert platform.config is config
         assert not [w for w in recwarn if w.category is DeprecationWarning]
         platform.close()
 
@@ -104,8 +107,8 @@ class TestCrowd4UShim:
                 Crowd4U(seed=1, **kwargs)
 
     def test_config_paths_equivalent_across_layouts(self):
-        old = Crowd4U(seed=5, config=RuntimeConfig())
-        new = Crowd4U(seed=5, config=RuntimeConfig(support_budget=0))
+        old = Crowd4U(seed=5)
+        new = Crowd4U(seed=5, config=RuntimeConfig())
         for platform in (old, new):
             platform.register_worker("ann", self._factors())
             platform.register_project(
@@ -119,7 +122,7 @@ class TestCrowd4UShim:
                 """,
             )
             platform.step()
-        # Provenance layout may differ; the platform state must not.
+        # No config and the default config are one deployment.
         assert old.snapshot() == new.snapshot()
         old.close()
         new.close()
@@ -138,11 +141,19 @@ class TestCrowd4UShim:
 
 
 class TestProcessorShim:
-    def test_config_plumbs_support_budget(self):
-        processor = CyLogProcessor(
-            "p(1). q(X) :- p(X).", config=RuntimeConfig(support_budget=7)
-        )
-        assert processor.engine._support_budget == 7
+    def test_support_budget_removed(self):
+        """Provenance is unbounded: the budget keyword is gone from the
+        engine, and the processor, which only passed it on, takes no
+        config."""
+        from repro.cylog import SemiNaiveEngine, parse_program
+
+        program = parse_program("p(1). q(X) :- p(X).")
+        for build in (
+            lambda: SemiNaiveEngine(program, support_budget=3),
+            lambda: CyLogProcessor("p(1).", config=RuntimeConfig()),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_shard_config_kwarg_removed(self):
         with pytest.raises(TypeError):
@@ -239,7 +250,7 @@ class TestServingSlice:
 
     def test_with_changes_preserves_serving(self):
         config = RuntimeConfig(serving=ServingConfig(queue_depth=7))
-        assert config.with_changes(support_budget=2).serving.queue_depth == 7
+        assert config.with_changes(backend_options={"a": 1}).serving.queue_depth == 7
 
     def test_build_server_uses_serving_slice(self):
         config = RuntimeConfig(serving=ServingConfig(max_batch=3))

@@ -4,7 +4,8 @@
 comparisons, optional aggregate — safe by construction) and ``update_ops``
 random add/retract streams over the EDB predicates, for the
 ``engine-diff`` oracle (incremental vs from-scratch).  ``forest_ops``
-churns the tree-shaped ``TREE_PROGRAM`` for its interval leg.
+churns the tree-shaped ``TREE_PROGRAM`` for its interval leg, in the
+same ``(assert?, predicate, row)`` shape.
 """
 
 from __future__ import annotations
@@ -82,11 +83,9 @@ def stratified_program(draw) -> str:
     return "\n".join(lines)
 
 
-#: Row values for update streams: small ints plus floats Python's ``==``
-#: conflates with them — index buckets and wildcard support patterns must
-#: treat exactly this class as equal.  (Bools conflate too but are
-#: rejected by aggregate rules engine-wide; the support-index unit tests
-#: cover them directly.)
+#: Row values: small ints plus floats ``==`` conflates with them, which
+#: index buckets and wildcard support patterns must treat as equal (bools
+#: conflate too; the support-index unit tests cover them).
 row_values = st.one_of(constants, st.sampled_from((0.0, 1.0, 2.5)))
 
 #: One update operation: (assert?, predicate, row).
@@ -97,16 +96,10 @@ update_ops = st.lists(
 )
 
 
-# ---------------------------------------------------------------------------
-# Tree-shaped programs for the interval access path
-# ---------------------------------------------------------------------------
-
-#: The canonical interval-eligible program: a linear transitive closure
-#: over ``edge``, plus downstream consumers in higher strata (a plain
-#: join, a negation and an aggregate) so the oracles verify that
-#: interval-produced deltas propagate exactly like fixpoint-produced
-#: ones.  ``unreach`` keeps a non-interval recursive head in the same
-#: program so mixed strata are exercised.
+#: An interval-eligible transitive closure over ``edge`` with a join, a
+#: negation and an aggregate downstream, so interval-produced deltas must
+#: propagate like fixpoint-produced ones; ``unreach`` mixes in a
+#: non-interval head.
 TREE_PROGRAM = """
 tc(X, Y) :- edge(X, Y).
 tc(X, Z) :- tc(X, Y), edge(Y, Z).
@@ -123,41 +116,24 @@ _NODES = st.integers(min_value=0, max_value=11)
 
 
 @st.composite
-def forest_ops(draw) -> list[tuple[str, int, int]]:
-    """A random churn stream over ``edge``: attaches, detaches and
-    subtree moves (detach + re-attach under a new parent in one batch).
-
-    Ops are structural intents, not guaranteed-valid tree mutations —
-    duplicate attaches, detaches of absent edges and forest-breaking
-    edges are all left in deliberately.
-    """
-    ops: list[tuple[str, int, int]] = []
+def forest_ops(draw) -> list[tuple[bool, str, tuple[int, int]]]:
+    """Churn over ``edge`` in ``update_ops``' shape: attaches, detaches
+    and subtree moves (detach, then re-attach under a new parent).
+    Duplicate attaches and forest-breaking edges are left in on purpose."""
+    ops: list[tuple[bool, str, tuple[int, int]]] = []
     edges: list[tuple[int, int]] = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         kind = draw(st.sampled_from(("attach", "attach", "attach", "detach", "move")))
         if kind == "attach" or not edges:
-            parent, child = draw(_NODES), draw(_NODES)
-            ops.append(("attach", parent, child))
-            edges.append((parent, child))
-        elif kind == "detach":
-            parent, child = draw(st.sampled_from(edges))
-            ops.append(("detach", parent, child))
-            edges.remove((parent, child))
-        else:  # move: re-root an existing child under a fresh parent
-            parent, child = draw(st.sampled_from(edges))
-            new_parent = draw(_NODES)
-            ops.append(("detach", parent, child))
-            ops.append(("attach", new_parent, child))
-            edges.remove((parent, child))
-            edges.append((new_parent, child))
+            edge = (draw(_NODES), draw(_NODES))
+            ops.append((True, "edge", edge))
+            edges.append(edge)
+            continue
+        edge = draw(st.sampled_from(edges))
+        ops.append((False, "edge", edge))
+        edges.remove(edge)
+        if kind == "move":  # re-root the child under a fresh parent
+            moved = (draw(_NODES), edge[1])
+            ops.append((True, "edge", moved))
+            edges.append(moved)
     return ops
-
-
-def apply_forest_op(engine, op: tuple[str, int, int]) -> None:
-    """Apply one ``forest_ops`` element to an engine-like object exposing
-    ``add_facts`` / ``retract_facts``."""
-    kind, parent, child = op
-    if kind == "attach":
-        engine.add_facts("edge", [(parent, child)])
-    else:
-        engine.retract_facts("edge", [(parent, child)])

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cylog import incremental
-from repro.cylog.incremental import SupportIndex, _is_wild, _matches
+from repro.cylog.incremental import SupportIndex, _matches
 
 #: Values whose hashes collide (``True == 1 == 1.0``) next to ones that
 #: do not, so random patterns exercise the strict keys.
@@ -44,7 +44,7 @@ def _brute_force(recorded, predicate, row) -> list:
         for dep_pred, dep_row in ref[2][1]:
             if dep_pred != predicate or len(dep_row) != len(row):
                 continue
-            if not _is_wild(dep_row):
+            if None not in dep_row:
                 if dep_row == row:
                     out.append((ref, None))
             elif _matches(dep_row, row):

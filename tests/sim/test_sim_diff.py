@@ -1,14 +1,14 @@
 """Randomized differential check: delta-stream driver vs snapshot oracle.
 
-Two identical platforms replay the *same* randomized scenario — streamed
-facts, retraction storms, answer revocations, mid-run worker arrivals
-and attrition — one driven by the delta-mode :class:`SimulationDriver`
-(riding the platform's round-delta feed and event stream), the other by
-snapshot mode (full scans every tick).  After every tick the two
-platforms' persisted state must be **byte-identical**
-(:func:`dump_canonical`, which includes storage version counters — the
-delta driver must perform the same mutations, not merely converge to the
-same rows) and the drivers' reports must be equal.
+Two identical platforms take one op stream (fact injection and retraction
+storms, answers and revocations, worker arrivals, factor edits, attrition
+and ticks); one is driven by the delta-mode :class:`SimulationDriver`,
+the other by snapshot mode (full scans every tick).  After every op their
+:func:`dump_canonical` bytes — which include version counters, so delta
+mode must perform the same mutations — engine snapshots, round deltas and
+reports must be equal.  The hash-seed leg replays one platform stream and
+the three E15 packs under ``PYTHONHASHSEED`` 0 and 1 and requires equal
+output.
 
 The CI ``sim-diff`` job runs this module with ``SIM_DIFF_EXAMPLES=12``;
 the local default keeps the tier-1 suite fast.
@@ -16,10 +16,15 @@ the local default keeps the tier-1 suite fast.
 
 from __future__ import annotations
 
+import json
 import os
-import random
+import subprocess
+import sys
+from pathlib import Path
 
+import oracle
 import pytest
+from oracle import CYLOG, Op, PlatformLeg
 
 from repro.apps import (
     run_disaster_pack,
@@ -35,118 +40,48 @@ EXAMPLES = int(os.environ.get("SIM_DIFF_EXAMPLES", "3"))
 
 pytestmark = pytest.mark.sim_diff
 
-_CYLOG = """
-open label(item: text, tag: text) key (item) asking "Label item {item}".
-item("seed-a"). item("seed-b").
-labelled(I, T) :- item(I), label(I, T).
-eligible(W) :- worker_skill(W, "observation", L), L >= 0.05.
-"""
+KINDS = ("step",) * 3 + ("add_facts",) * 2 + (
+    "retract_facts", "supply_answer", "revoke_answer", "register_worker",
+    "update_factors", "deactivate_worker",
+)
 
-_SCHEMES = (SchemeKind.SEQUENTIAL, SchemeKind.SIMULTANEOUS, SchemeKind.HYBRID)
+_ELIGIBLE = 'eligible(W) :- worker_skill(W, "observation", L), L >= 0.05.'
 
 
-def _build(seed: int, scheme: SchemeKind, n_workers: int) -> Crowd4U:
-    platform = Crowd4U(seed=seed)
-    populate(platform, n_workers, seed=seed)
-    platform.register_project(
-        name="labelling",
-        requester="oracle",
-        cylog_source=_CYLOG,
-        scheme=scheme,
-        constraints=TeamConstraints(
-            min_size=1,
-            critical_mass=3,
-            skills=(SkillRequirement("observation", 0.2, aggregator="max"),),
-            confirmation_window=12.0,
-        ),
-    )
-    return platform
-
-
-def _driver(platform: Crowd4U, seed: int, delta: bool) -> SimulationDriver:
-    return SimulationDriver(
-        platform,
-        behavior=BehaviorModel(BehaviorConfig(base_interest=0.25), seed=seed),
-        seed=seed,
-        delta=delta,
-        revisit_period=6.0,
-    )
+def legs(seed: int) -> list[PlatformLeg]:
+    scheme = list(SchemeKind)[seed % 3]
+    pair = []
+    for delta in (True, False):
+        platform = Crowd4U(seed=seed)
+        populate(platform, 18 + 4 * (seed % 3), seed=seed)
+        platform.register_project(
+            "labelling", "oracle", CYLOG + _ELIGIBLE, scheme=scheme,
+            constraints=TeamConstraints(
+                min_size=1,
+                critical_mass=3,
+                skills=(SkillRequirement("observation", 0.2, aggregator="max"),),
+                confirmation_window=12.0,
+            ),
+        )
+        behavior = BehaviorModel(BehaviorConfig(base_interest=0.25), seed=seed)
+        driver = SimulationDriver(
+            platform, behavior=behavior, seed=seed, delta=delta, revisit_period=6.0
+        )
+        name = "delta" if delta else "snapshot"
+        pair.append(PlatformLeg(name, platform, driver=driver))
+    return pair
 
 
 @pytest.mark.parametrize("seed", range(EXAMPLES))
 def test_delta_driver_matches_snapshot_oracle(seed: int) -> None:
-    scheme = _SCHEMES[seed % len(_SCHEMES)]
-    n_workers = 18 + 4 * (seed % 3)
-    platforms = (_build(seed, scheme, n_workers), _build(seed, scheme, n_workers))
-    drivers = (
-        _driver(platforms[0], seed, delta=True),
-        _driver(platforms[1], seed, delta=False),
-    )
-    rng = random.Random(5000 + seed)
-    items: list[str] = ["seed-a", "seed-b"]
-    next_item = [0]
-    next_worker = [n_workers]
-
-    def project_id(platform: Crowd4U) -> str:
-        (project,) = platform.projects.active()
-        return project.id
-
-    for tick in range(24):
-        # One randomized injection bundle, applied identically to both.
-        if rng.random() < 0.8:
-            fresh = [f"item-{next_item[0] + i}" for i in range(rng.randint(1, 3))]
-            next_item[0] += len(fresh)
-            items.extend(fresh)
-            for platform in platforms:
-                platform.processor(project_id(platform)).add_facts(
-                    "item", [(item,) for item in fresh]
-                )
-        if rng.random() < 0.25 and items:
-            # Retraction storm over a random slice of the stream.
-            storm = rng.sample(items, min(len(items), rng.randint(1, 4)))
-            for platform in platforms:
-                platform.processor(project_id(platform)).retract_facts(
-                    "item", [(item,) for item in storm]
-                )
-        if rng.random() < 0.2:
-            # Probe BOTH platforms: facts() evaluates a dirty processor, so
-            # a one-sided probe would itself perturb the comparison.
-            answered_pair = [
-                sorted(platform.processor(project_id(platform)).facts("labelled"))
-                for platform in platforms
-            ]
-            assert answered_pair[0] == answered_pair[1]
-            if answered_pair[0]:
-                key = rng.choice(answered_pair[0])[0]
-                for platform in platforms:
-                    platform.processor(project_id(platform)).revoke_answer(
-                        "label", (key,)
-                    )
-        if rng.random() < 0.2:
-            from repro.sim import generate_factors
-
-            index = next_worker[0]
-            next_worker[0] += 1
-            for platform in platforms:
-                platform.register_worker(
-                    f"worker{index:04d}", generate_factors(seed, index)
-                )
-        if rng.random() < 0.15:
-            active = sorted(
-                set(w.id for w in platforms[0].workers.all())
-                - set(drivers[0].inactive_workers)
-            )
-            if active:
-                departed = rng.choice(active)
-                for driver in drivers:
-                    driver.deactivate_worker(departed)
-        for driver in drivers:
-            driver.tick()
-        assert dump_canonical(platforms[0].db) == dump_canonical(platforms[1].db), (
-            f"state diverged at tick {tick} (seed {seed}, {scheme})"
+    def replay(ops):
+        oracle.lockstep(
+            legs(seed),
+            ops + [Op("step")] * 8,
+            ("dump", "snapshots", "round_deltas", "report"),
         )
-    assert drivers[0].report == drivers[1].report
-    assert platforms[0].snapshot() == platforms[1].snapshot()
+
+    oracle.check(oracle.op_stream(KINDS, size=48), replay, seed)
 
 
 @pytest.mark.parametrize(
@@ -161,3 +96,23 @@ def test_scenario_packs_match_snapshot_oracle(run_pack) -> None:
     assert delta.report == snapshot.report
     assert delta.facts == snapshot.facts
     assert dump_canonical(delta.platform.db) == dump_canonical(snapshot.platform.db)
+
+
+def test_hash_seed_legs_agree() -> None:
+    """No state, report or counter may depend on ``PYTHONHASHSEED``."""
+    tests = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    legs = [
+        subprocess.Popen(
+            [sys.executable, "-c",
+             "import json, oracle; print(json.dumps(oracle.hash_seed_state()))"],
+            env={**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        for hash_seed in (0, 1)
+    ]
+    outputs = [json.loads(leg.communicate()[0]) for leg in legs]
+    assert [leg.returncode for leg in legs] == [0, 0]
+    for (component, want), (_, got) in zip(*outputs):
+        assert got == want, f"PYTHONHASHSEED 0 and 1 differ on {component}"

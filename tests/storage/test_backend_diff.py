@@ -1,26 +1,26 @@
 """Randomized differential check of the durable storage backend.
 
-Two databases — in-memory and WAL-backed — receive the *same* randomized
-mutation stream: inserts, updates (including primary-key moves),
-deletes, truncates, transactions that commit or roll back, table
-creation/drop and (for the WAL side) mid-stream close-and-reopen
-"restarts".  After every scenario the canonical dump — schemas, rows,
+An in-memory and a WAL-backed database take one op stream: inserts,
+updates (including primary-key moves), deletes, truncates, transactions
+that commit or roll back, table creation/drop and (WAL side) mid-stream
+close-and-reopen.  After every op the canonical dumps — schemas, rows,
 insertion order *and* ``Table.version`` counters — must be
-byte-identical across both, and reopening the WAL database one final
-time must reproduce the same bytes again.
+byte-identical, and one final reopen must reproduce the same bytes.
 
 The CI ``backend-diff`` job runs this module with
-``BACKEND_DIFF_EXAMPLES=40``, mirroring the engine/platform diff
-oracle gates; the local default keeps the tier-1 suite fast.
+``BACKEND_DIFF_EXAMPLES=40``; the local default keeps tier-1 fast.
 """
 
 from __future__ import annotations
 
 import os
-import random
+import tempfile
 
+import oracle
 import pytest
+from oracle import CYLOG, ELIGIBLE_FR, Leg, Op, PlatformLeg
 
+from repro.core import Crowd4U
 from repro.storage import (
     Column,
     ColumnType,
@@ -35,7 +35,10 @@ OPS_PER_SCENARIO = int(os.environ.get("BACKEND_DIFF_OPS", "120"))
 
 pytestmark = pytest.mark.backend_diff
 
-_STATUSES = ("eligible", "interested", "undertakes", "declined", "completed")
+#: ``Database`` method names, weighted like a write-heavy workload.
+KINDS = ("insert",) * 6 + ("update",) * 3 + ("move",) + ("delete",) * 3 + (
+    "create_table", "commit", "rollback", "truncate", "drop_table", "reopen",
+)
 
 
 def _schema(name: str) -> TableSchema:
@@ -51,149 +54,107 @@ def _schema(name: str) -> TableSchema:
     )
 
 
-class _Lockstep:
-    """The two databases under test, mutated in lockstep."""
-
-    def __init__(self, tmp_path):
-        self.wal_dir = tmp_path / "wal"
-        self.mem = Database()
-        self.wal = open_database(self.wal_dir, backend="wal", compact_every=37)
-
-    @property
-    def all(self):
-        return (self.mem, self.wal)
-
-    def reopen_durable(self):
-        """Simulate a clean restart of the durable database."""
-        self.wal.close()
-        self.wal = open_database(self.wal_dir, backend="wal", compact_every=37)
-
-    def close(self):
-        self.wal.close()
+def _row(key: str, value: int) -> dict:
+    return {
+        "k": key,
+        "n": value * 37 % 1000,
+        "status": ("eligible", "interested", "declined", "completed")[value % 4],
+        "payload": (None, ["x", value % 5], {"a": 1})[value % 3],
+    }
 
 
-def _apply_random_op(rng: random.Random, dbs: _Lockstep, tables: list[str]) -> None:
-    op = rng.random()
-    if not tables or op < 0.06:
-        name = f"t{len(tables)}"
-        if name not in tables:
-            for db in dbs.all:
-                db.create_table(_schema(name))
-            tables.append(name)
-        return
-    table = rng.choice(tables)
-    if op < 0.45:
-        key = f"k{rng.randrange(40)}"
-        if not dbs.mem.table(table).contains((key,)):
-            row = {
-                "k": key,
-                "n": rng.randrange(1000),
-                "status": rng.choice(_STATUSES),
-                "payload": rng.choice((None, ["x", rng.randrange(5)], {"a": 1})),
-            }
-            for db in dbs.all:
-                db.insert(table, row)
-    elif op < 0.65:
-        pks = list(dbs.mem.table(table).pks())
-        if pks:
-            pk = rng.choice(sorted(pks))
-            changes: dict = {"n": rng.randrange(1000)}
-            if rng.random() < 0.25:
-                new_key = f"k{rng.randrange(40)}"
-                if not dbs.mem.table(table).contains((new_key,)):
-                    changes["k"] = new_key
-            for db in dbs.all:
-                db.update(table, pk, changes)
-    elif op < 0.80:
-        pks = list(dbs.mem.table(table).pks())
-        if pks:
-            pk = rng.choice(sorted(pks))
-            for db in dbs.all:
-                db.delete(table, pk)
-    elif op < 0.86:
-        # A transaction that inserts a couple of rows, then commits or
-        # rolls back — rollbacks replay through the undo log, which must
-        # stream to the backends exactly like forward mutations.
-        commit = rng.random() < 0.5
-        rows = [
-            {
-                "k": f"tx{rng.randrange(40)}",
-                "n": rng.randrange(1000),
-                "status": rng.choice(_STATUSES),
-                "payload": None,
-            }
-            for _ in range(rng.randrange(1, 4))
-        ]
-        for db in dbs.all:
-            db.begin()
+class DatabaseLeg(Leg):
+    def __init__(self, name: str, db: Database):
+        self.name, self.db = name, db
+
+    def resolve(self, op: Op):
+        db, kind, pick, value = self.db, op.kind, op.pick, op.value
+        tables = sorted(db.table_names)
+        if kind == "create_table" or not tables:
+            name = f"t{pick % 4}"
+            return None if db.has_table(name) else ("create_table", _schema(name))
+        table = tables[pick % len(tables)]
+        pks = sorted(db.table(table).pks())
+        key = f"k{value % 40}"
+        if kind == "insert":
+            return None if (key,) in pks else ("insert", table, _row(key, value))
+        if kind in ("commit", "rollback"):
+            keys = {f"tx{(value + 11 * i) % 40}" for i in range(1 + pick % 3)}
+            rows = [_row(k, value) for k in sorted(keys) if (k,) not in pks]
+            return kind, table, rows
+        if kind == "drop_table":
+            return (kind, table) if len(tables) > 1 else None
+        if kind in ("truncate", "reopen"):
+            return kind, table
+        if not pks:
+            return None
+        pk = pks[value % len(pks)]
+        if kind == "delete":
+            return "delete", table, pk
+        changes = {"n": value * 13 % 1000}
+        if kind == "move" and (key,) not in pks:
+            changes["k"] = key
+        return "update", table, pk, changes
+
+    def apply(self, op) -> None:
+        kind, *args = op
+        if kind == "reopen":
+            self.reopen()
+        elif kind == "truncate":
+            self.db.table(args[0]).truncate()
+        elif kind in ("commit", "rollback"):
+            # Rollbacks replay through the undo log, which must stream to
+            # the backend exactly like forward mutations.
+            table, rows = args
+            self.db.begin()
             for row in rows:
-                if not db.table(table).contains((row["k"],)):
-                    db.insert(table, row)
-            if commit:
-                db.commit()
-            else:
-                db.rollback()
-    elif op < 0.90:
-        for db in dbs.all:
-            db.table(table).truncate()
-    elif op < 0.94 and len(tables) > 1:
-        victim = rng.choice(tables)
-        tables.remove(victim)
-        for db in dbs.all:
-            db.drop_table(victim)
-    else:
-        dbs.reopen_durable()
+                self.db.insert(table, row)
+            getattr(self.db, kind)()
+        else:
+            getattr(self.db, kind)(*args)
+
+    def reopen(self) -> None:  # a clean restart: nothing to do in memory
+        pass
+
+    def state(self) -> dict:
+        return {"dump": dump_canonical(self.db)}
+
+
+class WalLeg(DatabaseLeg):
+    def __init__(self, path):
+        self.path = path
+        super().__init__("wal", open_database(path, backend="wal", compact_every=37))
+
+    def reopen(self) -> None:
+        self.db.close()
+        self.db = open_database(self.path, backend="wal", compact_every=37)
 
 
 @pytest.mark.parametrize("seed", range(EXAMPLES))
 def test_backends_byte_identical_under_random_streams(tmp_path, seed):
-    rng = random.Random(0xBACD + seed)
-    dbs = _Lockstep(tmp_path)
-    tables: list[str] = []
-    for step in range(OPS_PER_SCENARIO):
-        _apply_random_op(rng, dbs, tables)
-        if step % 30 == 29:
-            assert dump_canonical(dbs.wal) == dump_canonical(dbs.mem)
-    reference = dump_canonical(dbs.mem)
-    assert dump_canonical(dbs.wal) == reference
-    # One final restart: recovery must reproduce the same bytes again.
-    dbs.reopen_durable()
-    assert dump_canonical(dbs.wal) == reference
-    dbs.close()
+    def replay(ops):
+        with tempfile.TemporaryDirectory(dir=tmp_path) as scratch:
+            legs = [DatabaseLeg("memory", Database()), WalLeg(scratch)]
+            oracle.lockstep(legs, ops, ("dump",))
+            # One final restart: recovery must reproduce the same bytes again.
+            legs[1].reopen()
+            oracle.agree(legs, ("dump",), "after the final reopen")
+            legs[1].db.close()
+
+    oracle.check(oracle.op_stream(KINDS, size=OPS_PER_SCENARIO), replay, seed)
 
 
 @pytest.mark.parametrize("backend", ["wal"])
 def test_platform_scenario_round_trips(tmp_path, backend):
-    """A real platform session — workers, a project, a full round — must
-    survive a restart byte-for-byte on the durable backend."""
-    from repro.core import Crowd4U, HumanFactors
-
-    target = tmp_path / f"platform-{backend}"
-    db = open_database(target, backend=backend)
-    platform = Crowd4U(seed=3, db=db)
-    for i in range(4):
-        platform.register_worker(
-            f"w{i}",
-            HumanFactors(
-                native_languages=frozenset({"en"}),
-                languages={"fr": 0.9 if i % 2 else 0.3},
-                skills={"translation": 0.5 + 0.1 * i},
-                reliability=0.9,
-            ),
-        )
-    platform.register_project(
-        name="p",
-        requester="r",
-        cylog_source="""
-            open translate(seg: text, out: text) key (seg) asking "t {seg}".
-            segment("s1"). segment("s2").
-            eligible(W) :- worker_language(W, "fr", P), P >= 0.5.
-            translated(S, T) :- segment(S), translate(S, T).
-        """,
-    )
-    platform.step()
-    reference = dump_canonical(platform.db)
-    platform.close()
-    reopened = open_database(target, backend=backend)
+    """A platform session on the durable backend matches one in memory op
+    for op, and survives a restart byte-for-byte."""
+    durable = Crowd4U(seed=3, db=open_database(tmp_path / "platform", backend=backend))
+    legs = [PlatformLeg("memory", Crowd4U(seed=3)), PlatformLeg(backend, durable)]
+    for leg in legs:
+        leg.platform.register_project("p", "r", CYLOG + ELIGIBLE_FR)
+    oracle.lockstep(legs, oracle.seeded_stream(3), ("dump",))
+    reference = dump_canonical(durable.db)
+    durable.close()
+    reopened = open_database(tmp_path / "platform", backend=backend)
     assert dump_canonical(reopened) == reference
     reopened.close()

@@ -28,6 +28,8 @@ def gate(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "BASELINE_PATH", tmp_path / "smoke_speedups.json")
     monkeypatch.setattr(module, "GATED_METRICS", {"EX": ("speedup",)})
     monkeypatch.setattr(module, "CONTEXT_METRICS", {})
+    module.shipped_counter_gates = module.COUNTER_GATES
+    monkeypatch.setattr(module, "COUNTER_GATES", {})
     return module
 
 
@@ -81,6 +83,42 @@ class TestGate:
             smoke={"fast_mode": True, "speedup": 9.0},
         )
         assert gate.main([]) == 1
+
+
+class TestCounterGate:
+    """E10e's work-counter gate: full-run joins per churn-round join."""
+
+    def _arrange_e10e(self, gate, monkeypatch, churn_joins: float) -> None:
+        e10e = gate.shipped_counter_gates["E10e"]
+        monkeypatch.setattr(gate, "COUNTER_GATES", {"EX": e10e})
+        full_joins = 40_000
+        _arrange(
+            gate,
+            baseline={"EX": {"speedup": 10.0}},
+            trajectory={"speedup": 60.0},
+            smoke={
+                "fast_mode": True,
+                "speedup": 9.0,
+                "tuples_joined_per_round": churn_joins,
+                "full_run_tuples_joined": full_joins,
+                "joins_full_vs_churn": full_joins / churn_joins,
+            },
+        )
+
+    def test_passes_when_churn_joins_less(self, gate, monkeypatch, capsys):
+        self._arrange_e10e(gate, monkeypatch, churn_joins=500.0)
+        assert gate.main([]) == 0
+        assert "[ok] EX.joins_full_vs_churn" in capsys.readouterr().out
+
+    def test_fails_when_churn_joins_as_much_as_full_run(
+        self, gate, monkeypatch, capsys
+    ):
+        # A planted regression: the churn leg fell back to full-run work.
+        self._arrange_e10e(gate, monkeypatch, churn_joins=40_000.0)
+        assert gate.main([]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "EX.joins_full_vs_churn: 1.00 does not exceed 1.00" in out
 
 
 class TestOrphanBaselines:
