@@ -243,6 +243,9 @@ def test_e10d_cross_run_incremental_deltas(emit, emit_bench_json):
             "repeats": REPEATS,
             "incremental_tuples_joined_per_run": round(incremental_joined, 1),
             "full_tuples_joined_per_run": full_joined,
+            "joins_full_vs_incremental": round(full_joined / incremental_joined, 2)
+            if incremental_joined
+            else None,
             "ops_per_s": round(ops_per_round / incremental_s, 1)
             if incremental_s
             else None,

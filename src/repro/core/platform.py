@@ -272,8 +272,9 @@ class Crowd4U:
         """The user page's task list: pending root tasks the worker is
         eligible for (§2.2.1 step 3).
 
-        Served through the storage query cache: repeated renders between
-        ledger mutations cost one dict lookup instead of a table scan.
+        The ledger query probes the relationship table's ``worker_id``
+        index, so it reads only this worker's rows, and is memoised in the
+        storage query cache until the ledger next changes.
         """
         self.workers.get(worker_id)
         rows = (

@@ -9,7 +9,7 @@
 
 We additionally track *Declined* (a proposed worker refused or timed out)
 and *Completed* for bookkeeping.  The ledger is persisted in the storage
-engine and indexed both ways (by worker and by task).
+engine and indexed both ways: by task and status, and by worker.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 
 from repro.errors import RelationshipError
-from repro.storage import Column, ColumnType, Database, TableSchema
+from repro.storage import Column, ColumnType, Database, TableSchema, col
 
 
 class RelationshipStatus(enum.Enum):
@@ -81,10 +81,12 @@ class RelationshipLedger:
         self.db = db
         if not db.has_table(_SCHEMA.name):
             db.create_table(_SCHEMA)
-            db.table(_SCHEMA.name).create_index(("task_id", "status"))
-            db.table(_SCHEMA.name).create_index(("worker_id", "status"))
+        # Indexes are not persisted: a reopened table needs them rebuilt.
+        table = db.table(_SCHEMA.name)
+        table.create_index(("task_id", "status"))
+        table.create_index(("worker_id",))
         self._cache: dict[tuple[str, str], RelationshipStatus] = {}
-        for row in db.table(_SCHEMA.name).rows():
+        for row in table.rows():
             self._cache[(row["worker_id"], row["task_id"])] = RelationshipStatus(
                 row["status"]
             )
@@ -212,10 +214,11 @@ class RelationshipLedger:
     def tasks_with_status(
         self, worker_id: str, status: RelationshipStatus
     ) -> list[str]:
-        rows = self.db.table(_SCHEMA.name).lookup(
-            ("worker_id", "status"), (worker_id, status.value)
+        return sorted(
+            self.db.query(_SCHEMA.name)
+            .where((col("worker_id") == worker_id) & (col("status") == status.value))
+            .scalars("task_id")
         )
-        return sorted(row["task_id"] for row in rows)
 
     def counts_for_task(self, task_id: str) -> dict[str, int]:
         return {

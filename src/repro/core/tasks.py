@@ -121,8 +121,9 @@ class TaskPool:
         self.db = db
         if not db.has_table(_SCHEMA.name):
             db.create_table(_SCHEMA)
-            db.table(_SCHEMA.name).create_index(("project_id", "status"))
-            db.table(_SCHEMA.name).create_index(("status",))
+        # Indexes are not persisted: a reopened table needs them rebuilt.
+        db.table(_SCHEMA.name).create_index(("project_id", "status"))
+        db.table(_SCHEMA.name).create_index(("status",))
         self._ids = id_factory or IdFactory("task", width=6)
         self._cache: dict[str, Task] = {}
         #: Creation hook: every scheme and platform path goes through

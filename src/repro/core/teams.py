@@ -74,7 +74,8 @@ class TeamRegistry:
         self.db = db
         if not db.has_table(_SCHEMA.name):
             db.create_table(_SCHEMA)
-            db.table(_SCHEMA.name).create_index(("task_id",))
+        # Indexes are not persisted: a reopened table needs them rebuilt.
+        db.table(_SCHEMA.name).create_index(("task_id",))
         self._ids = id_factory or IdFactory("team", width=5)
         self._cache: dict[str, Team] = {}
         for row in db.table(_SCHEMA.name).rows():

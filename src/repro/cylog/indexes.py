@@ -1,13 +1,11 @@
 """Incrementally maintained multi-key hash indexes.
 
-Three consumers share this module:
+The CyLog engine uses this module two ways:
 
-* the CyLog engine keeps a :class:`TupleIndexSet` per relation, holding one
-  hash index for every key (tuple of term positions) the join planner chose
-  at compile time — indexes are updated on every insertion instead of being
+* it keeps a :class:`TupleIndexSet` per relation, holding one hash index
+  for every key (tuple of term positions) the join planner chose at
+  compile time — indexes are updated on every insertion instead of being
   rebuilt from scratch each semi-naive round;
-* :mod:`repro.storage.index` builds its column-keyed :class:`HashIndex` on
-  top of :class:`MultiKeyHashIndex` instead of duplicating bucket logic;
 * :class:`IntervalHierarchyIndex` gives transitive-closure strata over
   forest-shaped edge relations a third access path beside the hash probes:
   pre/post-order interval annotations (the XPath-accelerator encoding)
@@ -58,10 +56,6 @@ class MultiKeyHashIndex:
     def bucket(self, key: Key) -> frozenset | set:
         """The live bucket for ``key`` (empty when absent); do not mutate."""
         return self._buckets.get(key, _EMPTY)
-
-    def clear(self) -> None:
-        """Drop every bucket (used by ``Table.truncate``)."""
-        self._buckets.clear()
 
     @property
     def key_count(self) -> int:

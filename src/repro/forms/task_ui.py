@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.core.tasks import Task, TaskKind
 from repro.forms.model import FormField, FormModel
 from repro.forms.render import html_escape, render_form, render_page, render_table
-from repro.storage import col
 
 
 def _answer_form(task: Task) -> FormModel:
@@ -75,19 +74,12 @@ def _render_joint_ui(platform, task: Task, worker_id: str) -> str:
         ("team member", "SNS id"),
         [(member, sns_ids.get(member, "?")) for member in members],
     )
-    # Worker↔task relationship tally for the root collaborative task,
-    # served through the storage query cache (stable between ledger writes).
-    ledger_rows = (
-        platform.db.query("relationship")
-        .where(col("task_id") == task.parent_task_id)
-        .group_by("status")
-        .aggregate(workers=("count", None))
-        .order_by("status")
-        .execute_cached()
-    )
+    # Worker↔task relationship tally for the root collaborative task: one
+    # ledger index probe per status, statuses no worker holds left out.
+    counts = platform.ledger.counts_for_task(task.parent_task_id)
     ledger_html = render_table(
         ("relationship", "workers"),
-        [(row["status"], row["workers"]) for row in ledger_rows],
+        [(status, n) for status, n in sorted(counts.items()) if n],
     )
     entry = platform._active_schemes.get(task.parent_task_id)
     doc_html = "<p>(document not yet started)</p>"

@@ -54,9 +54,10 @@ def render_worker_page(
     """The full worker page: factors + eligible collaborative tasks.
 
     The task list and per-task statuses render from cached storage queries
-    (see :mod:`repro.storage.cache`): between platform mutations, repeated
-    page loads are served from memoised results instead of re-scanning the
-    relationship and task tables.
+    (see :mod:`repro.storage.cache`).  Both relationship queries select on
+    ``worker_id`` and so probe the ledger's ``worker_id`` index: a miss
+    reads this worker's rows, not the whole ledger, and between platform
+    mutations a repeated page load is served from the memoised results.
 
     ``cache_stats`` makes the read path's cache effectiveness observable
     instead of inferred: when supplied, exactly the hits/misses/

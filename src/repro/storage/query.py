@@ -5,6 +5,16 @@ and returns a list of row dicts.  Supported operators: scan, where
 (selection), project (with computed columns), inner/left hash joins,
 group-by with aggregates, order-by, distinct, limit/offset.
 
+Selections directly on a table scan can read an index instead: when an
+:class:`~repro.storage.expr.Expr` predicate's top-level ``and`` holds
+``col(c) == <hashable literal>`` for every column of one of the table's
+hash indexes (unique ones included), :meth:`Query.where` reads that one
+index bucket and runs the full predicate on its rows only.  Buckets keep
+scan order, so the result equals the scan's, rows and order.  Any other
+shape — ``or``, ``~``, ``in_``, a callable, a selection after another
+operator — scans.  :meth:`Query.from_rows` never reads an index, which
+makes it the scan's oracle.
+
 Alongside the callable pipeline every query threads a structural *plan
 fingerprint* and the set of source :class:`~repro.storage.table.Table`
 objects it reads.  :meth:`Query.execute_cached` uses the pair to memoise
@@ -26,7 +36,7 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from repro.storage.database import Database
 from repro.storage.errors import StorageError, UnknownColumnError
-from repro.storage.expr import Expr
+from repro.storage.expr import BinOp, Col, Expr, Lit
 from repro.storage.table import Table
 
 Row = dict[str, Any]
@@ -53,6 +63,32 @@ def _opaque(value: Expr | Callable) -> Hashable:
     return repr(value) if isinstance(value, Expr) else value
 
 
+def _equalities(predicate: Expr) -> dict[str, Any]:
+    """``column -> literal`` for the ``col == hashable literal`` conjuncts
+    at the top of ``predicate``'s ``and`` tree (the first one per column)."""
+    bindings: dict[str, Any] = {}
+    pending = [predicate]
+    while pending:
+        node = pending.pop()
+        if not isinstance(node, BinOp):
+            continue
+        if node.op == "and":
+            pending += (node.right, node.left)
+            continue
+        if node.op != "==":
+            continue
+        column, literal = node.left, node.right
+        if isinstance(column, Lit):
+            column, literal = literal, column
+        if isinstance(column, Col) and isinstance(literal, Lit):
+            try:
+                hash(literal.value)
+            except TypeError:
+                continue
+            bindings.setdefault(column.name, literal.value)
+    return bindings
+
+
 class Query:
     """An immutable chain of relational operators."""
 
@@ -62,11 +98,15 @@ class Query:
         plan: Hashable | None = None,
         tables: tuple[Table, ...] = (),
         db: Database | None = None,
+        scanned: Table | None = None,
     ) -> None:
         self._source = source
         self._plan = plan
         self._tables = tables
         self._db = db
+        #: The table of a bare :meth:`scan`; ``None`` once any operator is
+        #: applied.  Only a selection directly on a scan can read an index.
+        self._scanned = scanned
 
     def _derive(self, source: Callable[[], Iterable[Row]], op: tuple) -> "Query":
         plan = (*op, self._plan) if self._plan is not None else None
@@ -77,11 +117,13 @@ class Query:
     def scan(cls, db: Database, table_name: str) -> "Query":
         """Full scan of a table (rows are not copied until projection)."""
         table = db.table(table_name)
-
-        def source() -> Iterable[Row]:
-            return table._iter_internal()
-
-        return cls(source, plan=("scan", table_name), tables=(table,), db=db)
+        return cls(
+            table._iter_internal,
+            plan=("scan", table_name),
+            tables=(table,),
+            db=db,
+            scanned=table,
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Row]) -> "Query":
@@ -91,9 +133,22 @@ class Query:
 
     # -- operators --------------------------------------------------------------
     def where(self, predicate: Expr | Callable[[Row], bool]) -> "Query":
-        """Keep rows satisfying ``predicate`` (an Expr or a plain callable)."""
+        """Keep rows satisfying ``predicate`` (an Expr or a plain callable).
+
+        Directly on a :meth:`scan`, an :class:`Expr` whose top-level
+        conjuncts include ``col(c) == <hashable literal>`` for every column
+        of one of the table's hash indexes (unique ones included) reads
+        that index's one bucket instead of the whole table.  The full
+        predicate still runs on every probed row, so ``in_``, ``or``,
+        ``~`` and the other conjuncts filter as before, and the bucket
+        keeps scan order: the result equals the scan's, rows and order.
+        A predicate that would raise on some row outside the bucket no
+        longer runs on that row.
+        """
         test = predicate.evaluate if isinstance(predicate, Expr) else predicate
         parent = self._source
+        if self._scanned is not None and isinstance(predicate, Expr):
+            parent = self._scanned._probe(_equalities(predicate)) or parent
         return self._derive(
             lambda: (row for row in parent() if test(row)),
             ("where", _opaque(predicate)),

@@ -117,12 +117,14 @@ class Table:
                 f"update would duplicate primary key {new_pk!r} "
                 f"in table {self.schema.name!r}"
             )
+        # Refuse before touching any index: re-adding the old entries after
+        # a failed add would move ``pk`` to the end of its buckets while the
+        # row keeps its place in ``_rows``, and buckets must stay in scan
+        # order for index-backed reads.
+        for index in self._unique_indexes:
+            index.check(new_row, pk)
         self._index_remove(old, pk)
-        try:
-            self._index_add(new_row, new_pk)
-        except DuplicateKeyError:
-            self._index_add(old, pk)  # roll the index state back
-            raise
+        self._index_add(new_row, new_pk)
         del self._rows[pk]
         self._rows[new_pk] = new_row
         self.version += 1
@@ -251,9 +253,13 @@ class Table:
         return index
 
     def lookup(self, columns: Sequence[str], values: Sequence[Any]) -> list[dict]:
-        """Equality lookup via an index when available, else a scan.
+        """Equality lookup: copies of the rows whose ``columns`` equal
+        ``values``, sorted by primary key.
 
-        Returns copies of matching rows.
+        Reads the bucket of the hash index (unique ones included) over
+        exactly ``columns`` when there is one, else scans.  Unlike an
+        index-backed :meth:`Query.where <repro.storage.query.Query.where>`,
+        which keeps scan order, the result is in primary-key order.
         """
         key = tuple(columns)
         index = self._hash_indexes.get(key)
@@ -270,6 +276,28 @@ class Table:
             for row in self._rows.values()
             if tuple(row[c] for c in key) == wanted
         ]
+
+    def _probe(self, bindings: Mapping[str, Any]) -> Callable[[], Iterator[dict]] | None:
+        """A row source reading one index bucket in place of a scan.
+
+        ``bindings`` maps columns to hashable values.  Picks the hash index
+        (unique ones included) with the most columns, all of them bound,
+        and returns a callable yielding the stored rows of that one bucket
+        in scan order — a superset of the rows that match every binding.
+        ``None`` when no index's columns are all bound.  Callers must not
+        mutate the rows.
+        """
+        best: HashIndex | None = None
+        for index in (*self._unique_indexes, *self._hash_indexes.values()):
+            if all(c in bindings for c in index.columns) and (
+                best is None or len(index.columns) > len(best.columns)
+            ):
+                best = index
+        if best is None:
+            return None
+        key = tuple(bindings[c] for c in best.columns)
+        rows = self._rows
+        return lambda: (rows[pk] for pk in best.bucket(key))
 
     def _all_indexes(self):
         yield from self._unique_indexes

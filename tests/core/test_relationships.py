@@ -157,3 +157,50 @@ def test_ledger_never_reaches_undertakes_without_eligibility(sequence):
             continue
         if ledger.status(worker, task) is RelationshipStatus.UNDERTAKES:
             assert (worker, task) in ever_eligible
+
+
+def _index_state(db: Database) -> dict:
+    """Every secondary index of the three platform tables: its columns,
+    uniqueness and buckets (in bucket order)."""
+    state = {}
+    for name in ("relationship", "task", "team"):
+        table = db.table(name)
+        for index in (*table._unique_indexes, *table._hash_indexes.values()):
+            state[(name, index.columns, index.unique)] = {
+                key: list(bucket) for key, bucket in index._buckets.items()
+            }
+    return state
+
+
+def test_reopened_tables_rebuild_their_indexes(tmp_path):
+    """Indexes are not persisted: ledger, pool and registry must rebuild
+    theirs over a reopened WAL database, or every lookup and index-backed
+    query silently scans."""
+    from repro.core.tasks import TaskKind, TaskPool
+    from repro.core.teams import TeamRegistry
+    from repro.storage import open_database
+
+    def platform_tables(db: Database) -> None:
+        RelationshipLedger(db)
+        TaskPool(db)
+        TeamRegistry(db)
+
+    db = open_database(tmp_path / "wal", backend="wal")
+    ledger = RelationshipLedger(db)
+    pool = TaskPool(db)
+    teams = TeamRegistry(db)
+    task = pool.create("p1", TaskKind.OPEN_FILL, "write")
+    for worker in ("w1", "w2", "w3"):
+        ledger.mark_eligible(worker, task.id)
+    ledger.declare_interest("w2", task.id)
+    teams.propose(task.id, ("w2",), 0.5, "greedy", 0.0, None)
+    before = _index_state(db)
+    db.close()
+
+    reopened = open_database(tmp_path / "wal", backend="wal")
+    platform_tables(reopened)
+    fresh = Database()
+    platform_tables(fresh)
+    assert set(_index_state(reopened)) == set(_index_state(fresh)) == set(before)
+    assert _index_state(reopened) == before
+    reopened.close()

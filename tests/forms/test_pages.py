@@ -15,7 +15,9 @@ from repro.forms import (
     render_task_ui,
     render_worker_page,
 )
+from repro.forms.render import render_table
 from repro.forms.worker_page import parse_factors_form
+from repro.storage import col
 
 
 @pytest.fixture
@@ -172,26 +174,58 @@ class TestTaskUI:
         assert "improved version" in html
 
     def test_joint_ui_reproduces_figure5(self, platform, project):
-        platform.step()
-        task = platform.pool.pending_root_tasks(project.id)[0]
-        for worker_id in platform.ledger.eligible_workers(task.id)[:2]:
-            platform.declare_interest(worker_id, task.id)
-        platform.step()
-        team = platform.teams.get(platform.pool.get(task.id).team_id)
-        for member in team.members:
-            platform.confirm_membership(member, task.id)
-        for member in team.members:
-            for micro in platform.tasks_for_worker(member):
-                platform.submit_micro_result(
-                    micro.id, member, {"sns_id": f"{member}@sns"}
-                )
-        platform.contribute(task.id, team.members[0], "my paragraph")
-        joint = [
-            t for t in platform.tasks_for_worker(team.members[0])
-            if t.kind is TaskKind.JOINT
-        ][0]
-        html = render_task_ui(platform, joint.id, team.members[0])
+        html, _, team = _joint_ui(platform, project)
         assert "Simultaneous collaboration" in html
         assert f"{team.members[0]}@sns" in html       # SNS roster
         assert "my paragraph" in html                  # live shared document
         assert "Submit for the team" in html           # single submission
+
+    def test_joint_ui_tally_matches_a_grouped_ledger_query(self, platform, project):
+        """The relationship tally comes from per-status index probes; it
+        must render exactly what grouping the task's ledger rows by status
+        rendered (statuses nobody holds left out, ordered by status)."""
+        _, joint, team = _joint_ui(platform, project)
+        bystander = next(
+            w for w in platform.ledger.eligible_workers(joint.parent_task_id)
+            if w not in team.members
+        )
+        platform.ledger.decline(bystander, joint.parent_task_id)
+        html = render_task_ui(platform, joint.id, team.members[0])
+        grouped = (
+            platform.db.query("relationship")
+            .where(col("task_id") == joint.parent_task_id)
+            .group_by("status")
+            .aggregate(workers=("count", None))
+            .order_by("status")
+            .execute()
+        )
+        assert [row["status"] for row in grouped][:2] == ["declined", "eligible"]
+        expected = render_table(
+            ("relationship", "workers"),
+            [(row["status"], row["workers"]) for row in grouped],
+        )
+        assert f"<h3>Task relationships</h3>{expected}</section>" in html
+
+
+def _joint_ui(platform, project):
+    """Form a team for the project's first task, collect SNS ids, contribute
+    once; return the JOINT task's UI as its first member sees it."""
+    platform.step()
+    task = platform.pool.pending_root_tasks(project.id)[0]
+    for worker_id in platform.ledger.eligible_workers(task.id)[:2]:
+        platform.declare_interest(worker_id, task.id)
+    platform.step()
+    team = platform.teams.get(platform.pool.get(task.id).team_id)
+    for member in team.members:
+        platform.confirm_membership(member, task.id)
+    for member in team.members:
+        for micro in platform.tasks_for_worker(member):
+            platform.submit_micro_result(
+                micro.id, member, {"sns_id": f"{member}@sns"}
+            )
+    platform.contribute(task.id, team.members[0], "my paragraph")
+    joint = [
+        t for t in platform.tasks_for_worker(team.members[0])
+        if t.kind is TaskKind.JOINT
+    ][0]
+    return render_task_ui(platform, joint.id, team.members[0]), joint, team

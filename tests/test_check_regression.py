@@ -121,6 +121,42 @@ class TestCounterGate:
         assert "EX.joins_full_vs_churn: 1.00 does not exceed 1.00" in out
 
 
+class TestIncrementalCounterGate:
+    """E10d's work-counter gate: full-run joins per incremental-run join."""
+
+    def _arrange_e10d(self, gate, monkeypatch, incremental_joins: float) -> None:
+        e10d = gate.shipped_counter_gates["E10d"]
+        monkeypatch.setattr(gate, "COUNTER_GATES", {"EX": e10d})
+        full_joins = 38_977
+        _arrange(
+            gate,
+            baseline={"EX": {"speedup": 10.0}},
+            trajectory={"speedup": 60.0},
+            smoke={
+                "fast_mode": True,
+                "speedup": 9.0,
+                "incremental_tuples_joined_per_run": incremental_joins,
+                "full_tuples_joined_per_run": full_joins,
+                "joins_full_vs_incremental": full_joins / incremental_joins,
+            },
+        )
+
+    def test_passes_when_incremental_runs_join_less(self, gate, monkeypatch, capsys):
+        self._arrange_e10d(gate, monkeypatch, incremental_joins=448.8)
+        assert gate.main([]) == 0
+        assert "[ok] EX.joins_full_vs_incremental" in capsys.readouterr().out
+
+    def test_fails_when_incremental_runs_join_as_much_as_full(
+        self, gate, monkeypatch, capsys
+    ):
+        # A planted regression: every delta run re-derived from scratch.
+        self._arrange_e10d(gate, monkeypatch, incremental_joins=38_977.0)
+        assert gate.main([]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "EX.joins_full_vs_incremental: 1.00 does not exceed 1.00" in out
+
+
 class TestOrphanBaselines:
     def test_orphan_scenario_fails_loudly(self, gate, capsys):
         """A baseline whose scenario left GATED_METRICS must fail, not skip."""
