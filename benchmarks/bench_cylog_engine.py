@@ -115,6 +115,9 @@ def test_e10c_cost_planner_vs_naive_at_scale(emit, emit_bench_json):
                 for label, seconds, stats in timed
             ],
             "speedup_cost_vs_naive": round(speedup, 2),
+            "joins_naive_vs_cost": round(
+                naive_stats.tuples_joined / engine.stats.tuples_joined, 2
+            ),
             "burst_continuation_ms": round(burst_s * 1000, 3),
         },
     )

@@ -82,10 +82,14 @@ class TaskAssignmentController:
     #: constraints, candidate factors, affinity scores, forbidden-team
     #: history) changed since the last :meth:`try_assign`.  An attempt on a
     #: task outside this set is guaranteed to reproduce its previous
-    #: outcome, so the platform's incremental round skips it; re-arming
-    #: happens on interest declarations, constraint updates, factor edits,
-    #: affinity reinforcement after a recorded result, and team
-    #: dissolutions.
+    #: outcome, so the platform's incremental round skips it.  Re-arming
+    #: happens on new tasks, interest declarations, constraint updates,
+    #: factor edits (tasks where the worker is a live candidate) and team
+    #: dissolutions.  A recorded result of a team of two or more
+    #: reinforces the affinity of the team's own pairs, which assigners
+    #: read only between a task's INTERESTED candidates: it re-arms just
+    #: the pending tasks where a member is INTERESTED (a one-member team
+    #: re-arms nothing).
     _reattempt: set[str] = field(default_factory=set, repr=False)
 
     # -- incremental-round gating ------------------------------------------------

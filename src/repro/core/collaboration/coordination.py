@@ -60,6 +60,7 @@ class ResultCoordinator:
         self.affinity = affinity
         self.events = events
         self._ids = IdFactory("res", width=6)
+        self._ids.skip_past(pk for (pk,) in db.table(_SCHEMA.name).pks())
 
     def record(self, result: TeamResult, quality: float, now: float) -> str:
         """Finalise one collaborative task; returns the result row id."""

@@ -221,6 +221,10 @@ class Crowd4U:
         #: absent for a round (parked in PROPOSED/ACTIVE, or freshly
         #: created) missed the drained change feeds and re-derives in full.
         self._task_round: dict[str, int] = {}
+        #: (project, task predicate) -> the eligible predicate that
+        #: decides it (None: the constraint screen); resolved once, since a
+        #: project's compiled program never changes.
+        self._eligible_names: dict[tuple[str, str | None], str | None] = {}
         #: Round-delta subscription surface (see :meth:`subscribe_round_deltas`).
         #: Recording only happens while at least one listener is registered,
         #: so snapshot-style consumers pay nothing.
@@ -686,7 +690,7 @@ class Crowd4U:
         set only when *no* supporting tuple with her id remains (checked
         through the relation's key index, one O(1) probe per removed row).
         """
-        known = set(self.workers.ids())
+        known = self.workers
         transitions: dict[str, tuple[set[str], set[str]]] = {}
         for name, (added_rows, removed_rows) in processor.drain_deltas().items():
             if name != "eligible" and not name.startswith("eligible_"):
@@ -731,6 +735,7 @@ class Crowd4U:
             self._notify_round_deltas(recording, round_no)
             self._dirty_workers.clear()
             return
+        no_change: dict[str, tuple[set[str], set[str]]] = {}
         for task in pending:
             if (
                 task.id in self._task_needs_full
@@ -746,9 +751,16 @@ class Crowd4U:
                 self.stats.eligibility_tasks_full += 1
                 self.stats.eligibility_pairs_checked += n_workers
             else:
-                self._apply_incremental_eligibility(
-                    task, deltas.get(task.project_id, {}), n_workers
-                )
+                name = self._eligible_predicate(task)
+                transitions = deltas.get(task.project_id, no_change)
+                if self._dirty_workers or name in transitions:
+                    self._apply_incremental_eligibility(
+                        task, name, transitions, n_workers
+                    )
+                else:
+                    # Caught up, and nothing this round can move its set.
+                    self.stats.eligibility_tasks_skipped += 1
+                    self.stats.eligibility_pairs_skipped += n_workers
             self._task_round[task.id] = round_no
         self._notify_round_deltas(recording, round_no)
         self._dirty_workers.clear()
@@ -779,13 +791,13 @@ class Crowd4U:
     def _apply_incremental_eligibility(
         self,
         task: Task,
+        name: str | None,
         transitions: dict[str, tuple[set[str], set[str]]],
         n_workers: int,
     ) -> None:
-        """Apply one round's change sets to one task's Eligible rows."""
+        """Apply one round's change sets to one task's Eligible rows;
+        ``name`` is the task's :meth:`_eligible_predicate`."""
         recording = self._recording
-        processor = self._processors.get(task.project_id)
-        name = self._eligible_predicate(processor, task)
         if name is None:
             # Constraint screen: only dirtied workers can have changed.
             dirty = self._dirty_workers
@@ -832,7 +844,7 @@ class Crowd4U:
                 if recording is not None:
                     recording.removed.setdefault(task.id, set()).add(worker_id)
         if stale:
-            relation = processor.engine.store.maybe(name)
+            relation = self._processors[task.project_id].engine.store.maybe(name)
             for worker_id in sorted(stale):
                 present = relation is not None and bool(
                     relation.lookup((0,), (worker_id,))
@@ -851,18 +863,21 @@ class Crowd4U:
         self.stats.eligibility_pairs_checked += changed
         self.stats.eligibility_pairs_skipped += max(0, n_workers - changed)
 
-    def _eligible_predicate(
-        self, processor: CyLogProcessor | None, task: Task
-    ) -> str | None:
+    def _eligible_predicate(self, task: Task) -> str | None:
         """``eligible_<predicate>/1`` wins over ``eligible/1``; ``None``
         means the constraint screen applies."""
+        key = (task.project_id, task.predicate)
+        if key in self._eligible_names:
+            return self._eligible_names[key]
+        processor = self._processors.get(task.project_id)
         if processor is None:
             return None
         idb = processor.compiled.program.idb_predicates()
-        for name in (f"eligible_{task.predicate}", "eligible"):
-            if name in idb:
-                return name
-        return None
+        name = next(
+            (n for n in (f"eligible_{task.predicate}", "eligible") if n in idb), None
+        )
+        self._eligible_names[key] = name
+        return name
 
     def _ensure_eligibility(self, task: Task) -> None:
         """Re-derive the complete Eligible set for one pending root task:
@@ -914,11 +929,13 @@ class Crowd4U:
     def _prune_round_state(self) -> None:
         """Drop round cursors for tasks that can no longer return to the
         pending pool (completed/cancelled/expired)."""
-        open_ids = {task.id for task in self.pool.open_tasks()}
-        for task_id in [t for t in self._task_round if t not in open_ids]:
+        pool = self.pool
+        for task_id in [t for t in self._task_round if not pool.get(t).is_open]:
             del self._task_round[task_id]
             self.controller.clear_dirty(task_id)
-        self._task_needs_full.intersection_update(open_ids)
+        self._task_needs_full = {
+            t for t in self._task_needs_full if pool.get(t).is_open
+        }
 
     def _eligible_worker_ids(
         self,
@@ -928,7 +945,7 @@ class Crowd4U:
     ) -> list[str]:
         """CyLog-driven eligibility: ``eligible_<predicate>/1`` wins over
         ``eligible/1``; otherwise the constraint screen applies."""
-        name = self._eligible_predicate(processor, task)
+        name = self._eligible_predicate(task)
         if name is not None:
             return sorted(
                 value[0]
@@ -997,11 +1014,19 @@ class Crowd4U:
             key_mapping = dict(zip(decl.key, root_task.key_values))
             processor.supply_fact(root_task.predicate, key_mapping, fill_values)
         self.coordinator.record(team_result, quality, self.now)
-        # Recording reinforced the affinity matrix, an input to team scoring
-        # for every open formation problem: re-arm all pending root tasks so
-        # the incremental round reproduces the full recompute's attempts.
-        for pending in self.pool.pending_root_tasks():
-            self.controller.mark_dirty(pending.id)
+        # Recording reinforced the affinity between the team's members (a
+        # team of two or more).  Assigners read affinity only between a
+        # task's INTERESTED candidates, so only the pending tasks where a
+        # member is INTERESTED face a changed formation problem; re-arm
+        # those, and a one-member team re-arms nothing.
+        members = self.teams.get(team_result.team_id).members
+        if len(members) > 1:
+            for member in members:
+                for task_id in self.ledger.tasks_with_status(
+                    member, RelationshipStatus.INTERESTED
+                ):
+                    if self.pool.get(task_id).status is TaskStatus.PENDING:
+                        self.controller.mark_dirty(task_id)
         del self._active_schemes[root_task.id]
         if root_task.predicate is not None:
             # New facts may demand new tasks immediately.

@@ -78,6 +78,7 @@ class ProjectManager:
         for row in db.table(_SCHEMA.name).rows():
             project = _project_from_row(row)
             self._cache[project.id] = project
+        self._ids.skip_past(self._cache)
 
     def register(
         self,

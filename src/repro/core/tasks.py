@@ -10,7 +10,8 @@ Tasks come in two layers:
   editing) — these are pre-addressed and skip team formation.
 
 The pool persists every task in the storage engine; hot-path queries run
-against in-memory state.
+against in-memory state: one insertion-ordered bucket of tasks per status,
+so a round's status queries read only the tasks in that status.
 """
 
 from __future__ import annotations
@@ -122,17 +123,28 @@ class TaskPool:
         if not db.has_table(_SCHEMA.name):
             db.create_table(_SCHEMA)
         # Indexes are not persisted: a reopened table needs them rebuilt.
-        db.table(_SCHEMA.name).create_index(("project_id", "status"))
-        db.table(_SCHEMA.name).create_index(("status",))
-        self._ids = id_factory or IdFactory("task", width=6)
+        # ``assignee`` and ``(kind, status)`` serve the worker page's
+        # addressed-task and JOINT-task queries.
+        table = db.table(_SCHEMA.name)
+        for columns in (
+            ("project_id", "status"), ("status",), ("assignee",), ("kind", "status"),
+        ):
+            table.create_index(columns)
         self._cache: dict[str, Task] = {}
+        #: status -> the tasks in that status, in arrival order.
+        self._by_status: dict[TaskStatus, dict[str, Task]] = {
+            status: {} for status in TaskStatus
+        }
         #: Creation hook: every scheme and platform path goes through
         #: :meth:`create`, so one callback observes every task the moment it
         #: exists (the platform wires it to a ``task.created`` event).
         self.on_create: Callable[[Task], None] | None = None
-        for row in db.table(_SCHEMA.name).rows():
+        for row in table.rows():
             task = _task_from_row(row)
             self._cache[task.id] = task
+            self._by_status[task.status][task.id] = task
+        self._ids = id_factory or IdFactory("task", width=6)
+        self._ids.skip_past(self._cache)
 
     # -- creation ---------------------------------------------------------------
     def create(
@@ -152,6 +164,7 @@ class TaskPool:
         )
         self.db.insert(_SCHEMA.name, _task_to_row(task))
         self._cache[task.id] = task
+        self._by_status[task.status][task.id] = task
         if self.on_create is not None:
             self.on_create(task)
         return task
@@ -159,6 +172,10 @@ class TaskPool:
     # -- state updates ---------------------------------------------------------
     def _replace(self, task: Task) -> Task:
         self.db.update(_SCHEMA.name, (task.id,), _task_to_row(task))
+        old = self._cache[task.id]
+        if old.status is not task.status:
+            del self._by_status[old.status][task.id]
+        self._by_status[task.status][task.id] = task
         self._cache[task.id] = task
         return task
 
@@ -213,15 +230,21 @@ class TaskPool:
         return sorted(self._cache.values(), key=lambda t: t.id)
 
     def by_status(self, status: TaskStatus, project_id: str | None = None) -> list[Task]:
-        tasks = [t for t in self._cache.values() if t.status is status]
-        if project_id is not None:
-            tasks = [t for t in tasks if t.project_id == project_id]
-        return sorted(tasks, key=lambda t: t.id)
+        return self._in_statuses((status,), project_id)
 
     def open_tasks(self, project_id: str | None = None) -> list[Task]:
-        tasks = [t for t in self._cache.values() if t.is_open]
-        if project_id is not None:
-            tasks = [t for t in tasks if t.project_id == project_id]
+        return self._in_statuses(OPEN_STATUSES, project_id)
+
+    def _in_statuses(
+        self, statuses: Iterable[TaskStatus], project_id: str | None
+    ) -> list[Task]:
+        """The tasks in ``statuses`` (of one project), sorted by id."""
+        tasks = [
+            task
+            for status in statuses
+            for task in self._by_status[status].values()
+            if project_id is None or task.project_id == project_id
+        ]
         return sorted(tasks, key=lambda t: t.id)
 
     def pending_root_tasks(self, project_id: str | None = None) -> list[Task]:
@@ -230,14 +253,7 @@ class TaskPool:
 
     def micro_tasks_for(self, worker_id: str) -> list[Task]:
         """Open, pre-addressed micro-tasks for one worker."""
-        return sorted(
-            (
-                t
-                for t in self._cache.values()
-                if t.assignee == worker_id and t.is_open
-            ),
-            key=lambda t: t.id,
-        )
+        return [t for t in self.open_tasks() if t.assignee == worker_id]
 
     def children_of(self, task_id: str) -> list[Task]:
         return sorted(

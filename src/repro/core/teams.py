@@ -81,6 +81,7 @@ class TeamRegistry:
         for row in db.table(_SCHEMA.name).rows():
             team = _team_from_row(row)
             self._cache[team.id] = team
+        self._ids.skip_past(self._cache)
 
     def propose(
         self,

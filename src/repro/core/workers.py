@@ -62,6 +62,7 @@ class WorkerManager:
         self._cache: dict[str, Worker] = {}
         for row in db.table(_WORKER_SCHEMA.name).rows():
             self._cache[row["id"]] = _worker_from_row(row)
+        self._ids.skip_past(self._cache)
 
     # -- registration -----------------------------------------------------------
     def register(

@@ -148,25 +148,18 @@ class Database:
         table = self.table(table_name)
         row = table._normalise(values)
         self._check_outgoing_fks(table, row)
-        return table.insert(row)
+        return table._insert_row(row)
 
     def update(
         self, table_name: str, pk: Sequence[Any], changes: Mapping[str, Any]
     ) -> dict[str, Any]:
         """Update a row; re-verifies outgoing FKs and inbound references."""
         table = self.table(table_name)
-        old = table.get(pk)
-        if old is None:
-            # Missing row: delegate so Table.update raises its standard error.
-            return table.update(pk, changes)
-        merged = dict(old)
-        merged.update(changes)
-        row = table._normalise(merged)
+        pk, old, row = table._merge(pk, changes)
         self._check_outgoing_fks(table, row)
-        new_pk = table.schema.pk_tuple(row)
-        if new_pk != tuple(pk):
+        if table.schema.pk_tuple(row) != pk:
             self._check_no_inbound_references(table, old)
-        return table.update(pk, changes)
+        return table._update_row(pk, old, row)
 
     def delete(self, table_name: str, pk: Sequence[Any]) -> dict[str, Any]:
         """Delete a row unless another table still references it."""

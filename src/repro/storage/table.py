@@ -86,7 +86,10 @@ class Table:
     # -- mutations --------------------------------------------------------------
     def insert(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """Insert a row; returns a copy of what was stored."""
-        row = self._normalise(values)
+        return self._insert_row(self._normalise(values))
+
+    def _insert_row(self, row: dict[str, Any]) -> dict[str, Any]:
+        """Insert a row :meth:`_normalise` produced; the table keeps it."""
         pk = self.schema.pk_tuple(row)
         if pk in self._rows:
             raise DuplicateKeyError(
@@ -102,6 +105,12 @@ class Table:
 
     def update(self, pk: Sequence[Any], changes: Mapping[str, Any]) -> dict[str, Any]:
         """Apply ``changes`` to the row with primary key ``pk``."""
+        return self._update_row(*self._merge(pk, changes))
+
+    def _merge(
+        self, pk: Sequence[Any], changes: Mapping[str, Any]
+    ) -> tuple[PkTuple, dict[str, Any], dict[str, Any]]:
+        """``(pk, stored row, normalised row with changes)`` for an update."""
         pk = tuple(pk)
         old = self._rows.get(pk)
         if old is None:
@@ -110,7 +119,13 @@ class Table:
             )
         merged = dict(old)
         merged.update(changes)
-        new_row = self._normalise(merged)
+        return pk, old, self._normalise(merged)
+
+    def _update_row(
+        self, pk: PkTuple, old: dict[str, Any], new_row: dict[str, Any]
+    ) -> dict[str, Any]:
+        """Replace stored row ``old`` at ``pk`` with ``new_row`` from
+        :meth:`_merge`; the table keeps ``new_row``."""
         new_pk = self.schema.pk_tuple(new_row)
         if new_pk != pk and new_pk in self._rows:
             raise DuplicateKeyError(

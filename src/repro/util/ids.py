@@ -8,7 +8,7 @@ reproducible experiment output.
 
 from __future__ import annotations
 
-import itertools
+from typing import Iterable
 
 
 class IdFactory:
@@ -17,6 +17,9 @@ class IdFactory:
     >>> f = IdFactory("w", width=4)
     >>> f.next(), f.next()
     ('w0000', 'w0001')
+    >>> f.skip_past(["w0041", "x9999"])
+    >>> f.next()
+    'w0042'
     """
 
     def __init__(self, prefix: str, width: int = 5, start: int = 0) -> None:
@@ -24,17 +27,27 @@ class IdFactory:
             raise ValueError("width must be >= 1")
         self.prefix = prefix
         self.width = width
-        self._counter = itertools.count(start)
+        self._count = start
 
     def next(self) -> str:
         """Return the next identifier in the sequence."""
-        return f"{self.prefix}{next(self._counter):0{self.width}d}"
+        count = self._count
+        self._count += 1
+        return f"{self.prefix}{count:0{self.width}d}"
 
     def peek_count(self) -> int:
-        """Return how many ids have been handed out so far.
+        """Return the counter the next id will carry (ids handed out so far,
+        for a factory started at zero); the factory is not advanced."""
+        return self._count
 
-        Implemented by copying the underlying counter; the factory itself is
-        not advanced.
+    def skip_past(self, ids: Iterable[str]) -> None:
+        """Continue after the largest ``<prefix><number>`` among ``ids``.
+
+        A registry reopened over persisted rows calls this with their ids,
+        so it never hands out an id an earlier run already used.
         """
-        self._counter, probe = itertools.tee(self._counter)
-        return next(probe)
+        offset = len(self.prefix)
+        for existing in ids:
+            head, suffix = existing[:offset], existing[offset:]
+            if head == self.prefix and suffix.isascii() and suffix.isdigit():
+                self._count = max(self._count, int(suffix) + 1)

@@ -30,6 +30,9 @@ CYLOG_SOURCE = """
     translated(S, T) :- segment(S), translate(S, T).
 """
 
+#: Two segments, so a project has a second task to wait or compare on.
+TWO_SEGMENTS = CYLOG_SOURCE.replace('segment("s1").', 'segment("s1"). segment("s2").')
+
 FR = HumanFactors(languages={"fr": 0.9}, region="paris", skills={"translation": 0.8})
 NO_FR = HumanFactors(languages={"fr": 0.1}, region="paris", skills={"translation": 0.8})
 
@@ -47,6 +50,50 @@ def _screen_platform(incremental: bool = True) -> tuple[Crowd4U, str]:
     )
     platform.step(full=not incremental)
     return platform, fluent.id
+
+
+def _projects(platform: Crowd4U, min_sizes) -> list[str]:
+    """One two-segment CyLog-eligibility project per team size."""
+    return [
+        platform.register_project(
+            f"p{size}", "req", TWO_SEGMENTS,
+            constraints=TeamConstraints(min_size=size, critical_mass=size),
+        ).id
+        for size in min_sizes
+    ]
+
+
+def _segment_tasks(platform: Crowd4U, project_id: str) -> list[str]:
+    return [
+        t.id for t in platform.pool.pending_root_tasks(project_id)
+        if t.predicate == "translate"
+    ]
+
+
+def _finish(platform: Crowd4U, task_id: str, members, **mode) -> None:
+    """Confirm the proposed team for ``task_id`` and submit its micro-tasks
+    until the collaboration records its result; ``mode`` goes to ``step``."""
+    from repro.core.tasks import TaskStatus
+
+    team = platform.teams.get(platform.pool.get(task_id).team_id)
+    assert set(team.members) == set(members)
+    for worker in members:
+        platform.confirm_membership(worker, task_id)
+    platform.step(**mode)
+    result = {"text": "fr", "quality": 1.0}
+    while platform.pool.get(task_id).status is not TaskStatus.COMPLETED:
+        worker, micro = next(
+            (w, t) for w in members for t in platform.tasks_for_worker(w)
+        )
+        platform.submit_micro_result(micro.id, worker, result)
+
+
+def _armed(platform: Crowd4U) -> set[str]:
+    """The pending root tasks the next round will attempt."""
+    return {
+        t.id for t in platform.pool.pending_root_tasks()
+        if platform.controller.is_dirty(t.id)
+    }
 
 
 class TestEligibilityStaleness:
@@ -164,37 +211,112 @@ class TestIncrementalBookkeeping:
         platform.step(cross_check=True)
         assert platform.eligible_tasks(fluent) == []
 
-    def test_result_recording_rearms_pending_tasks(self):
-        """Recording a team result reinforces the affinity matrix — an
-        input to team scoring — so every pending root task must be
-        re-attempted on the next incremental round."""
-        from repro.core import TeamConstraints
-        from repro.core.tasks import TaskStatus
-
+    def test_one_member_result_rearms_nothing(self):
+        """A one-member team's result reinforces no affinity pair, so no
+        formation problem changes: not even a pending task where the
+        member is INTERESTED is re-attempted."""
         platform = Crowd4U(seed=9)
-        worker = platform.register_worker("solo", FR)
-        source = CYLOG_SOURCE.replace('segment("s1").', 'segment("s1"). segment("s2").')
-        platform.register_project(
-            "subs", "req", source,
-            constraints=TeamConstraints(min_size=1, critical_mass=1),
-        )
+        solo = platform.register_worker("solo", FR).id
+        solo_project, waiting_project = _projects(platform, (1, 2))
         platform.step()
-        first, second = platform.eligible_tasks(worker.id)
-        platform.declare_interest(worker.id, first.id)
-        platform.step()  # team proposed for first; second attempted, waiting
-        platform.confirm_membership(worker.id, first.id)
+        done, _ = _segment_tasks(platform, solo_project)
+        waiting, _ = _segment_tasks(platform, waiting_project)
+        platform.declare_interest(solo, done)
+        platform.declare_interest(solo, waiting)  # below min_size: waits
         platform.step()
-        skipped_before = platform.stats.assignments_skipped
-        platform.step()  # nothing changed: second is skipped
-        assert platform.stats.assignments_skipped == skipped_before + 1
-        for task in platform.tasks_for_worker(worker.id):
-            platform.submit_micro_result(
-                task.id, worker.id, {"text": "fr", "quality": 0.9}
+        _finish(platform, done, (solo,))
+        assert platform.ledger.status(solo, waiting) is RelationshipStatus.INTERESTED
+        assert _armed(platform) == set()
+        attempts = platform.stats.assignment_attempts
+        platform.step(cross_check=True)
+        assert platform.stats.assignment_attempts == attempts
+
+    def test_team_result_rearms_tasks_where_a_member_is_interested(self):
+        """A two-member team's result changes the affinity of its own pair
+        only: exactly the pending tasks where a member is INTERESTED are
+        re-attempted, and a task only outsiders are interested in is not."""
+        platform = Crowd4U(seed=9)
+        a, b, c = (platform.register_worker(n, FR).id for n in "abc")
+        pair_project, waiting_project = _projects(platform, (2, 3))
+        platform.step()
+        done, pending_other = _segment_tasks(platform, pair_project)
+        shared, outsider = _segment_tasks(platform, waiting_project)
+        for worker, task in (
+            (a, done), (b, done), (a, shared), (c, outsider), (c, pending_other),
+        ):
+            platform.declare_interest(worker, task)
+        platform.step()
+        _finish(platform, done, (a, b))
+        assert _armed(platform) == {shared}
+        attempts = platform.stats.assignment_attempts
+        platform.step(cross_check=True)
+        assert platform.stats.assignment_attempts == attempts + 1
+
+    def test_reinforced_affinity_reaches_a_waiting_task_as_in_full_rounds(self):
+        """Differential: greedy growth misses the only feasible pair of a
+        task until a finished collaboration raises that pair's affinity.
+        The incremental round must re-attempt the task and propose the
+        same team as the full round, which attempts everything."""
+        from repro.core import SkillRequirement
+        from repro.storage import dump_canonical
+
+        def factors(skill):
+            return HumanFactors(languages={"fr": 0.9}, skills={skill: 0.9})
+
+        dumps = []
+        for mode in ({"cross_check": True}, {"full": True}):
+            platform = Crowd4U(seed=9)
+            a, b, c = (
+                platform.register_worker(name, factors(skill)).id
+                for name, skill in (("a", "translation"), ("b", "none"),
+                                    ("c", "review"))
             )
-        assert platform.pool.get(first.id).status is TaskStatus.COMPLETED
-        attempts_before = platform.stats.assignment_attempts
-        platform.step(cross_check=True)  # re-armed by the recorded result
-        assert platform.stats.assignment_attempts == attempts_before + 1
+            # {a, c} is the one feasible pair; greedy seeds grow {a, b},
+            # {b, a} and {c, b} while b is each seed's closest neighbour.
+            for x, y, value in ((a, b, 0.2), (b, c, 0.2), (a, c, 0.1)):
+                platform.affinity.set(x, y, value)
+            project = platform.register_project(
+                "pair", "req", TWO_SEGMENTS,
+                constraints=TeamConstraints(
+                    min_size=2, critical_mass=2,
+                    skills=(SkillRequirement("translation", 0.8),
+                            SkillRequirement("review", 0.8)),
+                ),
+            ).id
+            platform.step(**mode)
+            first, waiting = _segment_tasks(platform, project)
+            for worker, task in ((a, first), (c, first), (a, waiting),
+                                 (b, waiting), (c, waiting)):
+                platform.declare_interest(worker, task)
+            platform.step(**mode)
+            assert platform.pool.get(waiting).team_id is None
+            _finish(platform, first, (a, c), **mode)
+            platform.step(**mode)
+            team = platform.teams.get(platform.pool.get(waiting).team_id)
+            assert set(team.members) == {a, c}
+            dumps.append(dump_canonical(platform.db))
+        assert dumps[0] == dumps[1]
+
+    @pytest.mark.parametrize("n_pending", (10, 200))
+    def test_quiet_round_attempts_nothing_at_any_pool_size(self, n_pending):
+        """Work counter: after a team's result, the next rounds attempt no
+        assignment however many tasks wait in the pool."""
+        platform = Crowd4U(seed=9)
+        a, b = (platform.register_worker(n, FR).id for n in "ab")
+        (project,) = _projects(platform, (2,))
+        for i in range(n_pending):
+            platform.post_task(project, f"custom {i}")
+        platform.step()
+        done, _ = _segment_tasks(platform, project)
+        platform.declare_interest(a, done)
+        platform.declare_interest(b, done)
+        platform.step()
+        _finish(platform, done, (a, b))
+        assert len(platform.pool.pending_root_tasks()) == n_pending + 1
+        attempts = platform.stats.assignment_attempts
+        for _ in range(2):
+            platform.step(cross_check=True)
+            assert platform.stats.assignment_attempts == attempts
 
     def test_cross_check_detects_tampering(self):
         """The oracle actually fires: corrupt the ledger behind the

@@ -139,6 +139,48 @@ class TestCrowd4UShim:
         assert dump_canonical(reopened) == state
         reopened.close()
 
+    def test_reopened_platform_issues_fresh_ids(self, tmp_path):
+        """Id counters resume after the largest persisted id: a platform
+        reopened on its WAL registers workers and projects and posts tasks,
+        and forms and finishes a team, without reusing an id."""
+        from repro.core import TeamConstraints
+
+        source = """
+            open translate(seg: text, out: text) key (seg) asking "t {seg}".
+            segment("s1").
+            eligible(W) :- worker_language(W, "fr", P), P >= 0.5.
+            translated(S, T) :- segment(S), translate(S, T).
+        """
+        config = RuntimeConfig(backend="wal", path=tmp_path / "d")
+
+        def one_team(platform):
+            worker = platform.register_worker("ann", self._factors())
+            project = platform.register_project(
+                "p", "r", source,
+                constraints=TeamConstraints(min_size=1, critical_mass=1),
+            )
+            task = platform.post_task(project.id, "curate")
+            platform.step()
+            platform.declare_interest(worker.id, task.id)
+            platform.step()
+            platform.confirm_membership(worker.id, task.id)
+            for micro in platform.tasks_for_worker(worker.id):
+                platform.submit_micro_result(micro.id, worker.id, {"text": "x"})
+            return {
+                table: {pk for (pk,) in platform.db.table(table).pks()}
+                for table in ("worker_profile", "project", "task", "team",
+                              "team_result")
+            }
+
+        platform = Crowd4U(seed=2, config=config)
+        before = one_team(platform)
+        platform.close()
+        reopened = Crowd4U(seed=2, config=config)
+        after = one_team(reopened)
+        reopened.close()
+        for table, ids in before.items():
+            assert ids < after[table], table
+
 
 class TestProcessorShim:
     def test_support_budget_removed(self):

@@ -110,3 +110,52 @@ class TestQueries:
         loaded = fresh.get(task.id)
         assert loaded.payload == {"x": [1, 2]}
         assert loaded.kind is TaskKind.OPEN_FILL
+
+
+class TestStatusBuckets:
+    def _expected(self, pool, statuses, project_id=None):
+        return [
+            t for t in pool.all()
+            if t.status in statuses
+            and (project_id is None or t.project_id == project_id)
+        ]
+
+    def _check(self, pool):
+        from repro.core.tasks import OPEN_STATUSES
+
+        for status in TaskStatus:
+            for project in (None, "p1", "p2"):
+                assert pool.by_status(status, project) == self._expected(
+                    pool, (status,), project
+                )
+        assert pool.open_tasks() == self._expected(pool, OPEN_STATUSES)
+        assert pool.pending_root_tasks("p2") == [
+            t for t in self._expected(pool, (TaskStatus.PENDING,), "p2")
+            if t.is_root
+        ]
+
+    def test_queries_follow_status_moves_and_reopen(self, pool, db):
+        """Buckets move a task on every status change and are rebuilt from
+        the table; answers stay sorted by id even when a task returns to a
+        bucket after later tasks joined it."""
+        first, second, third = (
+            _task(pool, project_id=p) for p in ("p1", "p2", "p2")
+        )
+        _task(pool, project_id="p2", assignee="w1", parent_task_id=third.id,
+              kind=TaskKind.DRAFT)
+        pool.assign_team(first.id, "team1")
+        pool.assign_team(second.id, "team2")
+        pool.update_payload(third.id, note="kept in place")
+        pool.clear_team(second.id)
+        pool.activate(first.id)
+        pool.complete(first.id, {})
+        self._check(pool)
+        assert [t.id for t in pool.by_status(TaskStatus.PENDING)][:2] == [
+            second.id, third.id,
+        ]
+        self._check(TaskPool(db))
+
+    def test_ids_resume_after_reopen(self, pool, db):
+        created = [_task(pool).id for _ in range(3)]
+        fresh = TaskPool(db)
+        assert _task(fresh).id > max(created)

@@ -4,11 +4,17 @@ import pytest
 
 from repro.storage import Column, ColumnType, Database, ForeignKey, TableSchema
 from repro.storage.errors import (
+    DuplicateKeyError,
     ForeignKeyError,
+    NotNullViolation,
     SchemaError,
+    StorageError,
     TransactionError,
+    TypeMismatchError,
+    UnknownColumnError,
     UnknownTableError,
 )
+from repro.storage.table import Table
 from repro.storage.transactions import transaction
 
 
@@ -98,6 +104,68 @@ class TestForeignKeys:
         linked_db.insert("posts", {"id": 1, "author": "u1"})
         with pytest.raises(ForeignKeyError):
             linked_db.update("users", ("u1",), {"id": "u2"})
+
+
+class TestOneNormalisationPerWrite:
+    """The Database validates a row once and hands it to the table."""
+
+    def _counting(self, monkeypatch) -> list:
+        calls = []
+        normalise = Table._normalise
+
+        def counted(table, values):
+            calls.append(table.schema.name)
+            return normalise(table, values)
+
+        monkeypatch.setattr(Table, "_normalise", counted)
+        return calls
+
+    def test_insert_and_update_normalise_once(self, linked_db, monkeypatch):
+        calls = self._counting(monkeypatch)
+        linked_db.insert("posts", {"id": 1, "author": "u1"})
+        assert calls == ["posts"]
+        row = linked_db.update("posts", (1,), {"editor": "u1"})
+        assert calls == ["posts", "posts"]
+        assert row == {"id": 1, "author": "u1", "editor": "u1"}
+        assert linked_db.table("posts").get((1,)) == row
+
+    @pytest.mark.parametrize(
+        "write, error",
+        [
+            (lambda db: db.insert("posts", {"id": 1, "author": "u1", "x": 0}),
+             UnknownColumnError),
+            (lambda db: db.insert("posts", {"id": "one", "author": "u1"}),
+             TypeMismatchError),
+            (lambda db: db.insert("posts", {"id": 1}), NotNullViolation),
+            (lambda db: db.insert("posts", {"id": 1, "author": "ghost"}),
+             ForeignKeyError),
+            (lambda db: db.insert("users", {"id": "u1", "name": "Bo"}),
+             DuplicateKeyError),
+            (lambda db: db.insert("users", {"id": "u2", "name": "Ann"}),
+             DuplicateKeyError),
+            (lambda db: db.update("users", ("u1",), {"nick": "A"}),
+             UnknownColumnError),
+            (lambda db: db.update("users", ("u1",), {"name": None}),
+             NotNullViolation),
+            (lambda db: db.update("posts", (7,), {"author": "u1"}), StorageError),
+        ],
+    )
+    def test_every_check_still_refuses(self, write, error):
+        db = Database()
+        users = _users_schema()
+        db.create_table(
+            TableSchema("users", users.columns, primary_key=("id",),
+                        unique=[("name",)])
+        )
+        db.create_table(_posts_schema())
+        db.insert("users", {"id": "u1", "name": "Ann"})
+        def rows():
+            return {name: list(db.table(name).rows()) for name in db.table_names}
+
+        before = rows()
+        with pytest.raises(error):
+            write(db)
+        assert rows() == before
 
 
 class TestTransactions:

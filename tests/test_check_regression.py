@@ -157,6 +157,45 @@ class TestIncrementalCounterGate:
         assert "EX.joins_full_vs_incremental: 1.00 does not exceed 1.00" in out
 
 
+class TestPlannedCounterGate:
+    """E10c's work-counter gate: naive-oracle joins per cost-planned join."""
+
+    def _arrange_e10c(self, gate, monkeypatch, cost_joins: float) -> None:
+        e10c = gate.shipped_counter_gates["E10c"]
+        monkeypatch.setattr(gate, "COUNTER_GATES", {"EX": e10c})
+        naive_joins = 13_360
+        _arrange(
+            gate,
+            baseline={"EX": {"speedup": 2.0}},
+            trajectory={"speedup": 25.0},
+            smoke={
+                "fast_mode": True,
+                "speedup": 3.0,
+                "configs": [
+                    {"engine": "cost", "tuples_joined": cost_joins},
+                    {"engine": "naive", "tuples_joined": naive_joins},
+                ],
+                "joins_naive_vs_cost": naive_joins / cost_joins,
+            },
+        )
+
+    def test_passes_when_cost_planner_joins_less(self, gate, monkeypatch, capsys):
+        self._arrange_e10c(gate, monkeypatch, cost_joins=1_330.0)
+        assert gate.main([]) == 0
+        assert "[ok] EX.joins_naive_vs_cost" in capsys.readouterr().out
+
+    def test_fails_when_cost_planner_joins_as_much_as_naive(
+        self, gate, monkeypatch, capsys
+    ):
+        # A planted regression: the planner lost its index probes and joins
+        # every tuple the naive oracle does.
+        self._arrange_e10c(gate, monkeypatch, cost_joins=13_360.0)
+        assert gate.main([]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSION" in out
+        assert "EX.joins_naive_vs_cost: 1.00 does not exceed 1.00" in out
+
+
 class TestOrphanBaselines:
     def test_orphan_scenario_fails_loudly(self, gate, capsys):
         """A baseline whose scenario left GATED_METRICS must fail, not skip."""

@@ -35,6 +35,13 @@ class TestIds:
         assert factory.peek_count() == 1
         assert factory.next() == "t00001"
 
+    def test_skip_past_resumes_after_largest_own_id(self):
+        factory = IdFactory("t", width=3)
+        factory.skip_past(["t007", "t002", "team999", "tx", "u500"])
+        assert factory.next() == "t008"
+        factory.skip_past(["t001"])  # never moves backwards
+        assert factory.next() == "t009"
+
     def test_width_validated(self):
         with pytest.raises(ValueError):
             IdFactory("t", width=0)
