@@ -48,7 +48,6 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     # Retraction churn rounds vs a full recompute of the same store.
     "E10e": ("speedup_churn_vs_full",),
     "E11": ("speedup_snapshot_vs_replay",),
-    "E13": ("speedup_interval_vs_fixpoint",),
     # Absolute throughput, not a ratio: the committed smoke floor is set
     # conservatively low so only a serving-path collapse trips it.
     "E14": ("sustained_rps",),
@@ -75,7 +74,6 @@ COUNTER_GATES: dict[str, dict[str, float]] = {
 #: Reported next to the gated metrics but never gated.
 CONTEXT_METRICS: dict[str, tuple[str, ...]] = {
     "E11": ("mutation_ops_per_s",),
-    "E13": ("speedup_build_interval_vs_fixpoint",),
     "E14": ("p99_ms", "coalescing_x"),
     "E15a": ("ticks_per_s", "p99_tick_ms"),
     "E15b": ("ticks_per_s", "p99_tick_ms"),

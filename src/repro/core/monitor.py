@@ -36,10 +36,9 @@ class CollaborationMonitor:
         """Run one monitoring sweep; returns counters for observability."""
         dissolved = 0
         expired = 0
-        for team in self.teams.all():
-            if team.status is TeamStatus.PROPOSED:
-                if self.controller.check_confirmation_deadline(team.id, now):
-                    dissolved += 1
+        for team in self.teams.by_status(TeamStatus.PROPOSED):
+            if self.controller.check_confirmation_deadline(team.id, now):
+                dissolved += 1
         for task in self.pool.by_status(TaskStatus.PENDING):
             if task.deadline is not None and now > task.deadline:
                 self.pool.set_status(task.id, TaskStatus.EXPIRED)

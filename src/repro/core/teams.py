@@ -68,7 +68,13 @@ _SCHEMA = TableSchema(
 
 
 class TeamRegistry:
-    """Persistent store of all proposed teams."""
+    """Persistent store of all proposed teams.
+
+    Besides the id-keyed cache, teams sit in one insertion-ordered bucket
+    per status and one per task, moved on every write and rebuilt on open,
+    so the monitor's deadline sweep and the controller's dissolved-team
+    check read their bucket instead of every team ever proposed.
+    """
 
     def __init__(self, db: Database, id_factory: IdFactory | None = None) -> None:
         self.db = db
@@ -78,10 +84,19 @@ class TeamRegistry:
         db.table(_SCHEMA.name).create_index(("task_id",))
         self._ids = id_factory or IdFactory("team", width=5)
         self._cache: dict[str, Team] = {}
+        self._by_status: dict[TeamStatus, dict[str, Team]] = {
+            status: {} for status in TeamStatus
+        }
+        self._by_task: dict[str, dict[str, Team]] = {}
         for row in db.table(_SCHEMA.name).rows():
-            team = _team_from_row(row)
-            self._cache[team.id] = team
+            self._file(_team_from_row(row))
         self._ids.skip_past(self._cache)
+
+    def _file(self, team: Team) -> None:
+        """Put ``team`` into the cache and both of its buckets."""
+        self._cache[team.id] = team
+        self._by_status[team.status][team.id] = team
+        self._by_task.setdefault(team.task_id, {})[team.id] = team
 
     def propose(
         self,
@@ -104,12 +119,15 @@ class TeamRegistry:
             confirm_by=confirm_by,
         )
         self.db.insert(_SCHEMA.name, _team_to_row(team))
-        self._cache[team.id] = team
+        self._file(team)
         return team
 
     def _replace(self, team: Team) -> Team:
         self.db.update(_SCHEMA.name, (team.id,), _team_to_row(team))
-        self._cache[team.id] = team
+        old = self._cache[team.id]
+        if old.status is not team.status:
+            del self._by_status[old.status][team.id]
+        self._file(team)
         return team
 
     def confirm_member(self, team_id: str, worker_id: str) -> Team:
@@ -128,10 +146,10 @@ class TeamRegistry:
         return team
 
     def for_task(self, task_id: str) -> list[Team]:
-        return sorted(
-            (t for t in self._cache.values() if t.task_id == task_id),
-            key=lambda t: t.id,
-        )
+        return sorted(self._by_task.get(task_id, {}).values(), key=lambda t: t.id)
+
+    def by_status(self, status: TeamStatus) -> list[Team]:
+        return sorted(self._by_status[status].values(), key=lambda t: t.id)
 
     def previously_dissolved_members(self, task_id: str) -> set[frozenset[str]]:
         """Member sets of dissolved teams, so re-assignment avoids reproposing

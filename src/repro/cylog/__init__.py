@@ -78,12 +78,11 @@ from repro.cylog.errors import (
     CyLogTypeError,
     StratificationError,
 )
-from repro.cylog.indexes import IntervalHierarchyIndex
 from repro.cylog.open_predicates import TaskRequest
 from repro.cylog.parser import parse_program
 from repro.cylog.pretty import explain_program, program_to_source
 from repro.cylog.processor import CyLogProcessor
-from repro.cylog.safety import IntervalSpec, JoinPlan, PlanStep, compile_program
+from repro.cylog.safety import JoinPlan, PlanStep, compile_program
 
 __all__ = [
     "AggregateTerm",
@@ -97,8 +96,6 @@ __all__ = [
     "EngineStats",
     "EvaluationResult",
     "Fact",
-    "IntervalHierarchyIndex",
-    "IntervalSpec",
     "JoinPlan",
     "Negation",
     "OpenDecl",

@@ -56,12 +56,11 @@ from repro.cylog.incremental import (
     SupportKey,
     partition_recursive,
 )
-from repro.cylog.indexes import IntervalHierarchyIndex, TupleIndexSet
+from repro.cylog.indexes import TupleIndexSet
 from repro.cylog.pretty import explain_rule
 from repro.cylog.safety import (
     CompiledProgram,
     CompiledRule,
-    IntervalSpec,
     JoinPlan,
     build_join_plan,
     compile_program,
@@ -103,14 +102,7 @@ class EngineStats(CounterRecord):
     tuples_rederived: int = 0
     overdeletions: int = 0
     supports_recorded: int = 0
-    stratum_recomputes: int = 0
     agg_recomputes: int = 0
-    #: Interval access path: range scans served by the engine-side
-    #: hierarchy index (descendant queries, closure enumerations, subtree
-    #: collections under churn) and nodes relabelled *beyond* the moved
-    #: subtree when gap allocation ran out of slots.
-    interval_scans: int = 0
-    interval_renumbers: int = 0
     #: Rows copied into relation snapshots (:meth:`Relation.snapshot` is
     #: cached, so a run that changed nothing copies none, and reads after
     #: a run copy nothing).
@@ -132,8 +124,6 @@ class EngineStats(CounterRecord):
             "overdeletions",
             "supports_recorded",
             "agg_recomputes",
-            "interval_scans",
-            "interval_renumbers",
         )
         full = self.as_dict()
         return {key: full[key] for key in keys}
@@ -749,30 +739,13 @@ class SemiNaiveEngine:
     :func:`run_rule_task`; tasks only *read* the store and count work in
     scratch ``EngineStats``, and the engine merges derived tuples,
     supports and counters serially in submission order.
-
-    ``interval`` enables the interval access path: eligible
-    transitive-closure strata are answered from an engine-side
-    :class:`~repro.cylog.indexes.IntervalHierarchyIndex` (single range
-    scans) instead of fixpoint joins, whenever the edge relation is a
-    forest at run time.  ``interval=False`` keeps the fixpoint path, the
-    oracle the E13 bench and the engine-diff interval leg compare
-    against; results are bit-identical either way.
     """
 
-    def __init__(
-        self,
-        program: Program | CompiledProgram,
-        *,
-        interval: bool = True,
-    ) -> None:
-        self._interval_enabled = interval
+    def __init__(self, program: Program | CompiledProgram) -> None:
         if isinstance(program, CompiledProgram):
-            if program.interval == interval:
-                self.compiled = program
-            else:  # recompile so the access path actually takes effect
-                self.compiled = compile_program(program.program, interval=interval)
+            self.compiled = program
         else:
-            self.compiled = compile_program(program, interval=interval)
+            self.compiled = compile_program(program)
         self._active = self.compiled
         self._strata = self._build_stratum_info()
         self._planned_cardinalities: dict[str, float] | None = None
@@ -796,12 +769,6 @@ class SemiNaiveEngine:
         self._loss_plans: dict[tuple[int, int], JoinPlan] = {}
         self._rederive_plans: dict[int, JoinPlan] = {}
         self._agg_group_plans: dict[int, JoinPlan] = {}
-        #: Interval hierarchy indexes, one per eligible transitive-closure
-        #: head.  ``_interval_seen`` remembers each index's cumulative
-        #: scan/renumber counters at the last stats fold, so engine stats
-        #: absorb exact increments.
-        self._interval: dict[str, IntervalHierarchyIndex] = {}
-        self._interval_seen: dict[str, tuple[int, int]] = {}
         self.stats = EngineStats()
         self.runs = 0  # full evaluations performed (observability for benches)
 
@@ -895,9 +862,7 @@ class SemiNaiveEngine:
             return
         self._planned_cardinalities = cardinalities
         self._active = compile_program(
-            self.compiled.program,
-            cardinalities=cardinalities,
-            interval=self._interval_enabled,
+            self.compiled.program, cardinalities=cardinalities
         )
         self._strata = self._build_stratum_info()
         self._gain_plans.clear()
@@ -1007,185 +972,6 @@ class SemiNaiveEngine:
             plan, _ = build_join_plan(rule.rule.body, initial_bound=head_vars)
             self._rederive_plans[rule_index] = plan
         return plan
-
-    # -- interval access path ----------------------------------------------
-    def _interval_specs_for(self, info: _StratumInfo) -> tuple[IntervalSpec, ...]:
-        """The stratum's interval-eligible transitive-closure specs.
-
-        Eligibility is the compile-time syntactic check
-        (:func:`~repro.cylog.safety.detect_interval_specs`); whether the
-        edge rows actually form a forest is decided per run by the index
-        monitor.
-        """
-        if not self._interval_enabled or not self._active.interval_specs:
-            return ()
-        return tuple(
-            spec
-            for head, spec in sorted(self._active.interval_specs.items())
-            if head in info.heads
-        )
-
-    def _interval_index_for(self, head: str) -> IntervalHierarchyIndex:
-        index = self._interval.get(head)
-        if index is None:
-            index = self._interval[head] = IntervalHierarchyIndex()
-            self._interval_seen[head] = (0, 0)
-        return index
-
-    def _interval_fold_stats(
-        self, head: str, index: IntervalHierarchyIndex, stats: EngineStats
-    ) -> None:
-        """Fold the index's cumulative counters into ``stats`` as exact
-        increments since the last fold."""
-        seen_scans, seen_renumbers = self._interval_seen.get(head, (0, 0))
-        stats.interval_scans += index.scans - seen_scans
-        stats.interval_renumbers += index.renumbers - seen_renumbers
-        self._interval_seen[head] = (index.scans, index.renumbers)
-
-    def _interval_answer_full(
-        self, store: RelationStore, spec: IntervalSpec, stats: EngineStats
-    ) -> bool:
-        """Answer one closure head for a full evaluation.
-
-        Rebuilds the index from the live edge rows and, when they form a
-        forest, emits every closure pair as one range scan per node —
-        returning True so the caller drops the head's rules from the
-        fixpoint.  Interval-owned rows carry *no* supports: the index
-        itself produces exact added/removed sets under churn, and the
-        support machinery must never cascade rows it does not own.
-        """
-        index = self._interval_index_for(spec.head)
-        edge_rel = store.maybe(spec.edge)
-        if edge_rel is not None and edge_rel.arity != 2:
-            index.valid = False
-            return False  # malformed edge data: the fixpoint path reports it
-        rows = sorted(edge_rel.snapshot(), key=repr) if edge_rel is not None else []
-        answered = index.rebuild(rows)
-        if answered:
-            relation = store.get(spec.head, 2)
-            for row in index.pairs():
-                if relation.add(row):
-                    stats.tuples_derived += 1
-        self._interval_fold_stats(spec.head, index, stats)
-        return answered
-
-    def _interval_step(
-        self,
-        store: RelationStore,
-        spec: IntervalSpec,
-        changes: DeltaLedger,
-        stats: EngineStats,
-        removed_out: list[Tuple_],
-        added_out: list[Tuple_],
-    ) -> bool | None:
-        """Advance one closure head through an incremental step.
-
-        Returns True when the head is interval-owned and its exact deltas
-        were applied to the store and ``changes`` (and collected into
-        ``removed_out`` / ``added_out`` for the caller's cascade/seed
-        wiring); False when the head stays on the fixpoint path; ``None``
-        when an edge change broke the forest shape mid-step — the caller
-        must fall back to a full stratum recompute, which re-decides the
-        access path from the rebuilt state.
-        """
-        index = self._interval_index_for(spec.head)
-        edge_removed = changes.removed(spec.edge)
-        edge_added = changes.added(spec.edge)
-        if not index.valid:
-            if not (edge_removed or edge_added):
-                return False  # nothing changed; no reason to re-probe
-            edge_rel = store.maybe(spec.edge)
-            if edge_rel is not None and edge_rel.arity != 2:
-                return False
-            rows = (
-                sorted(edge_rel.snapshot(), key=repr)
-                if edge_rel is not None
-                else []
-            )
-            if not index.rebuild(rows):
-                self._interval_fold_stats(spec.head, index, stats)
-                return False
-            # Re-enabling mid-run: the stored closure rows were fixpoint-
-            # derived and carry supports the index will not maintain —
-            # purge them so no later cascade can delete index-owned rows —
-            # then net-diff the stored closure against the rebuilt one.
-            # The edge deltas are already in the edge relation, so the
-            # diff IS this step's exact delta.
-            relation = store.get(spec.head, 2)
-            current = relation.snapshot()
-            for row in current:
-                self._supports.discard_tuple(spec.head, row)
-            desired = set(index.pairs())
-            self._interval_fold_stats(spec.head, index, stats)
-            self._interval_apply(
-                store,
-                spec,
-                current - desired,
-                desired - current,
-                changes,
-                stats,
-                removed_out,
-                added_out,
-            )
-            return True
-        if not (edge_removed or edge_added):
-            return True  # interval-owned and untouched this step
-        # Net removals before net additions: any subgraph of a valid final
-        # forest is a forest, so a batch that lands on one never trips the
-        # monitor spuriously; a batch that does not always trips an op.
-        ledger = DeltaLedger()
-        for parent, child in sorted(edge_removed, key=repr):
-            lost = index.detach(parent, child)
-            if lost is None:
-                self._interval_fold_stats(spec.head, index, stats)
-                return None
-            for pair in lost:
-                ledger.remove(spec.head, pair)
-        for parent, child in sorted(edge_added, key=repr):
-            gained = index.attach(parent, child)
-            if gained is None:
-                self._interval_fold_stats(spec.head, index, stats)
-                return None
-            for pair in gained:
-                ledger.add(spec.head, pair)
-        self._interval_fold_stats(spec.head, index, stats)
-        self._interval_apply(
-            store,
-            spec,
-            set(ledger.removed(spec.head)),
-            set(ledger.added(spec.head)),
-            changes,
-            stats,
-            removed_out,
-            added_out,
-        )
-        return True
-
-    def _interval_apply(
-        self,
-        store: RelationStore,
-        spec: IntervalSpec,
-        removed: set[Tuple_],
-        added: set[Tuple_],
-        sink: DeltaLedger,
-        stats: EngineStats,
-        removed_out: list[Tuple_],
-        added_out: list[Tuple_],
-    ) -> None:
-        """Apply one interval-computed closure delta to the store and the
-        run report, in sorted order so the reported counters are
-        deterministic."""
-        relation = store.get(spec.head, 2)
-        for row in sorted(removed, key=repr):
-            if relation.discard(row):
-                stats.tuples_retracted += 1
-                sink.remove(spec.head, row)
-                removed_out.append(row)
-        for row in sorted(added, key=repr):
-            if relation.add(row):
-                stats.tuples_derived += 1
-                sink.add(spec.head, row)
-                added_out.append(row)
 
     # -- aggregate maintenance ---------------------------------------------
     def _affected_agg_groups(
@@ -1478,15 +1264,6 @@ class SemiNaiveEngine:
                 self._record(head_pred, row, support, stats)
                 if relation.add(row):
                     stats.tuples_derived += 1
-        # Interval-eligible closure heads are answered straight from the
-        # hierarchy index when their edge rows form a forest: one range
-        # scan per node instead of one join round per level, and their
-        # rules drop out of the fixpoint below.
-        plain = info.plain
-        for spec in self._interval_specs_for(info):
-            if self._interval_answer_full(store, spec, stats):
-                skip = (spec.base_rule, spec.recursive_rule)
-                plain = tuple((i, r) for i, r in plain if i not in skip)
         # Round 0: full evaluation of each rule.  Every rule's solutions
         # are materialised before any insertion, because recursive rules
         # scan the very relation they derive into; results merge in rule
@@ -1494,10 +1271,10 @@ class SemiNaiveEngine:
         compiled = self._active
         results = [
             run_rule_task(compiled, store, rule_index, None, None)
-            for rule_index, _ in plain
+            for rule_index, _ in info.plain
         ]
         delta: dict[str, set[Tuple_]] = {}
-        for (rule_index, rule), (derived, scratch) in zip(plain, results):
+        for (rule_index, rule), (derived, scratch) in zip(info.plain, results):
             stats.absorb(scratch)
             stats.rules_fired += 1
             head_pred = rule.rule.head.predicate
@@ -1507,7 +1284,7 @@ class SemiNaiveEngine:
                 if relation.add(row):
                     stats.tuples_derived += 1
                     delta.setdefault(head_pred, set()).add(row)
-        self._semi_naive_rounds(store, plain, delta, stats=stats)
+        self._semi_naive_rounds(store, info.plain, delta, stats=stats)
 
     # -- incremental evaluation --------------------------------------------
     def _incremental_run(self) -> EvaluationResult:
@@ -1535,46 +1312,6 @@ class SemiNaiveEngine:
         added_map, removed_map = changes.as_mappings()
         return EvaluationResult(store.snapshot(), added_map, removed_map)
 
-    def _recompute_stratum(
-        self,
-        store: RelationStore,
-        info: _StratumInfo,
-        sink: DeltaLedger,
-        stats: EngineStats,
-    ) -> None:
-        """Re-derive one stratum from scratch and net-diff into ``sink``.
-
-        The interval access path's fallback when an edge change breaks
-        the forest shape: clear the stratum's head relations (and their
-        supports), re-run the full per-stratum evaluation against the
-        already-updated lower strata, which re-decides the access path,
-        and report only the net row changes.
-        """
-        stats.stratum_recomputes += 1
-        before: dict[str, frozenset] = {}
-        for predicate in sorted(info.heads):
-            relation = store.maybe(predicate)
-            if relation is None:
-                before[predicate] = frozenset()
-                continue
-            rows = relation.snapshot()
-            before[predicate] = rows
-            for row in rows:
-                relation.discard(row)
-                self._supports.discard_tuple(predicate, row)
-        for rule_index, rule in info.aggregates:
-            cached = self._agg_cache.pop(rule_index, None)
-            if cached:
-                self._clear_agg_supports(rule_index, rule, cached)
-        self._eval_stratum_full(store, info, stats)
-        for predicate, old_rows in before.items():
-            relation = store.maybe(predicate)
-            new_rows = relation.snapshot() if relation is not None else frozenset()
-            for row in old_rows - new_rows:
-                sink.remove(predicate, row)
-            for row in new_rows - old_rows:
-                sink.add(predicate, row)
-
     def _step_stratum(
         self,
         store: RelationStore,
@@ -1597,36 +1334,6 @@ class SemiNaiveEngine:
         }
         if not (touched & info.referenced or touched & negated or agg_touched):
             return
-        # Interval-owned closure heads step first: the index turns the
-        # edge deltas into the head's exact added/removed closure pairs
-        # before any fixpoint machinery runs, so the removals can cascade
-        # through same-stratum consumers below and the additions seed the
-        # propagation.  An edge change that breaks the forest shape falls
-        # back to the full per-stratum recompute, which re-decides the
-        # access path from the rebuilt state.
-        interval_heads: set[str] = set()
-        interval_removed: list[tuple[str, Tuple_]] = []
-        interval_added: dict[str, list[Tuple_]] = {}
-        plain = info.plain
-        for spec in self._interval_specs_for(info):
-            removed_rows: list[Tuple_] = []
-            added_rows: list[Tuple_] = []
-            owned = self._interval_step(
-                store, spec, changes, stats, removed_rows, added_rows
-            )
-            if owned is None:
-                self._recompute_stratum(store, info, changes, stats)
-                return
-            if owned:
-                interval_heads.add(spec.head)
-                plain = tuple(
-                    (i, r)
-                    for i, r in plain
-                    if i not in (spec.base_rule, spec.recursive_rule)
-                )
-                interval_removed.extend((spec.head, row) for row in removed_rows)
-                if added_rows:
-                    interval_added[spec.head] = added_rows
         scheduler = RetractionScheduler(
             store, self._supports, info.heads, info.recursive, stats
         )
@@ -1661,15 +1368,10 @@ class SemiNaiveEngine:
                 agg_additions.append((rule, row, support))
         # Phase B: deletions.  Removed input tuples cascade through the
         # support index; negation-gain triggers drop the exact derivations
-        # the new tuples invalidate.  Interval-owned heads enqueue once,
-        # from their collected deltas, not from the ledger.
+        # the new tuples invalidate.
         for predicate in changes.predicates():
-            if predicate in interval_heads:
-                continue
             for row in changes.removed(predicate):
                 scheduler.enqueue_removed(predicate, row)
-        for predicate, row in interval_removed:
-            scheduler.enqueue_removed(predicate, row)
         for rule_index, rule, negation in info.negations:
             gained = changes.added(negation.atom.predicate)
             if not gained:
@@ -1711,7 +1413,7 @@ class SemiNaiveEngine:
             if relation is None or row in relation:
                 continue
             supports: list[SupportKey] = []
-            for rule_index, rule in plain:
+            for rule_index, rule in info.plain:
                 if rule.rule.head.predicate != predicate:
                     continue
                 initial = _head_bindings(rule, row)
@@ -1738,24 +1440,11 @@ class SemiNaiveEngine:
         # additions, re-derived tuples and negation-loss derivations.
         delta: dict[str, set[Tuple_]] = {}
         for predicate in changes.predicates():
-            if predicate not in info.referenced or predicate in interval_heads:
+            if predicate not in info.referenced:
                 continue
             rows = changes.added(predicate)
             if rows:
                 delta[predicate] = set(rows)
-        # Interval-owned additions only seed the delta when a surviving
-        # plain rule actually consumes the head — downstream strata read
-        # them from the ledger regardless, and seeding an unconsumed head
-        # would count an empty semi-naive round.
-        if interval_added:
-            consumed = {
-                atom.predicate
-                for _, rule in plain
-                for atom in rule.rule.body_atoms()
-            }
-            for predicate, rows in interval_added.items():
-                if predicate in consumed:
-                    delta.setdefault(predicate, set()).update(rows)
         for predicate, rows in rederived.items():
             if predicate in info.referenced:
                 delta.setdefault(predicate, set()).update(rows)
@@ -1793,7 +1482,7 @@ class SemiNaiveEngine:
                     changes.add(head_pred, row)
                     if head_pred in info.referenced:
                         delta.setdefault(head_pred, set()).add(row)
-        self._semi_naive_rounds(store, plain, delta, changes, stats=stats)
+        self._semi_naive_rounds(store, info.plain, delta, changes, stats=stats)
 
 
 def _relation_from(rows: set[Tuple_], template: Relation | None) -> Relation:

@@ -122,21 +122,13 @@ def plan_step_to_source(step) -> str:
     """Render one plan step with its access path annotation.
 
     ``idx(p,...)`` marks a hash-index probe on term positions ``p`` and
-    ``scan`` a full scan.  ``interval`` marks a step whose rule belongs
-    to an interval-answered closure: the engine serves the stratum from
-    the :class:`~repro.cylog.indexes.IntervalHierarchyIndex` range scans
-    while the annotated plan stays behind as the fixpoint fallback.
+    ``scan`` a full scan.
     """
     base = literal_to_source(step.literal)
     if isinstance(step.literal, (Atom, Negation)):
         if step.index_positions:
             positions = ",".join(str(p) for p in step.index_positions)
-            access = f"idx({positions})"
-            if getattr(step, "interval", False):
-                access += " interval"
-            return f"{base} [{access}]"
-        if getattr(step, "interval", False):
-            return f"{base} [scan interval]"
+            return f"{base} [idx({positions})]"
         return f"{base} [scan]"
     return base
 

@@ -20,7 +20,7 @@ stratum by stratum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.cylog.ast import (
@@ -60,13 +60,6 @@ class PlanStep:
     literal: BodyLiteral
     index_positions: tuple[int, ...] = ()
     estimated_cost: float = 0.0
-    #: Third access path: the step belongs to a transitive-closure rule
-    #: the engine answers from an :class:`~repro.cylog.indexes.
-    #: IntervalHierarchyIndex` range scan instead of fixpoint joins —
-    #: valid only while the edge relation stays a forest (the index's
-    #: runtime monitor soundly falls back to the plan's ordinary path the
-    #: moment it does not).
-    interval: bool = False
 
 
 @dataclass(frozen=True)
@@ -138,42 +131,14 @@ class CompiledRule:
 
 
 @dataclass(frozen=True)
-class IntervalSpec:
-    """One transitive-closure head eligible for the interval access path.
-
-    ``head`` is the closure predicate, ``edge`` the 2-ary predicate it
-    closes over; ``base_rule`` / ``recursive_rule`` are indexes into
-    :attr:`CompiledProgram.rules` for the two rules the interval index
-    replaces.  Eligibility is purely syntactic (see
-    :func:`detect_interval_specs`); whether the edge relation actually
-    *is* a forest is decided at run time by the index's monitor.
-    """
-
-    head: str
-    edge: str
-    base_rule: int
-    recursive_rule: int
-
-
-@dataclass(frozen=True)
 class CompiledProgram:
-    """Statically validated program ready for evaluation.
-
-    ``interval`` records whether the interval access path was enabled at
-    compile time (engines recompile when theirs differs);
-    ``interval_specs`` maps each eligible transitive-closure head to its
-    :class:`IntervalSpec` (empty when disabled or nothing qualifies).
-    """
+    """Statically validated program ready for evaluation."""
 
     program: Program
     rules: tuple[CompiledRule, ...]
     strata_count: int
     predicate_strata: dict[str, int] = field(compare=False)
     is_monotone: bool = True
-    interval: bool = True
-    interval_specs: dict[str, IntervalSpec] = field(
-        default_factory=dict, compare=False
-    )
 
     @property
     def open_decls(self) -> dict[str, OpenDecl]:
@@ -353,131 +318,6 @@ def program_cardinalities(program: Program) -> dict[str, float]:
 
 
 # ---------------------------------------------------------------------------
-# Interval access-path detection
-# ---------------------------------------------------------------------------
-
-
-def _plain_var_names(atom: Atom) -> tuple[str, ...] | None:
-    """The atom's terms as variable names, or ``None`` if any term is a
-    constant, an anonymous variable, or a repeated variable."""
-    names: list[str] = []
-    for term in atom.terms:
-        if not isinstance(term, Var) or term.is_anonymous:
-            return None
-        names.append(term.name)
-    return tuple(names) if len(set(names)) == len(names) else None
-
-
-def detect_interval_specs(
-    program: Program, predicate_strata: Mapping[str, int]
-) -> dict[str, IntervalSpec]:
-    """Find transitive-closure heads eligible for the interval access path.
-
-    A head ``tc`` qualifies when it is defined by *exactly* the canonical
-    linear transitive-closure pair over one 2-ary edge predicate —
-
-    * base: ``tc(X, Y) :- edge(X, Y).``
-    * step: ``tc(X, Z) :- tc(X, Y), edge(Y, Z).`` (right-linear) or
-      ``tc(X, Z) :- edge(X, Y), tc(Y, Z).`` (left-linear), body order
-      insensitive —
-
-    with no other rules, facts, opens, negations or aggregates touching
-    ``tc``, and the edge predicate evaluated strictly *before* the
-    closure's stratum (a base relation, or an IDB head in a lower
-    stratum): otherwise same-stratum feedback through the edge could
-    change it mid-fixpoint, which the index does not model.  Whether the
-    edge rows actually form a forest is a run-time property — the index's
-    monitor decides it and soundly falls back when violated.
-    """
-    rules_by_head: dict[str, list[int]] = {}
-    for index, rule in enumerate(program.rules):
-        rules_by_head.setdefault(rule.head.predicate, []).append(index)
-    fact_preds = {fact.atom.predicate for fact in program.facts}
-    opens = set(program.open_by_name())
-    idb = program.idb_predicates()
-
-    specs: dict[str, IntervalSpec] = {}
-    for head, rule_indexes in sorted(rules_by_head.items()):
-        if len(rule_indexes) != 2 or head in opens or head in fact_preds:
-            continue
-        base_index = recursive_index = -1
-        edge: str | None = None
-        ok = True
-        for rule_index in rule_indexes:
-            rule = program.rules[rule_index]
-            if rule.head.has_aggregates or rule.head.arity != 2:
-                ok = False
-                break
-            head_vars = _plain_var_names(rule.head)
-            if head_vars is None:
-                ok = False
-                break
-            atoms = [lit for lit in rule.body if isinstance(lit, Atom)]
-            if len(atoms) != len(rule.body):
-                ok = False  # negation / comparison / assignment in body
-                break
-            if len(atoms) == 1:
-                atom = atoms[0]
-                if (
-                    atom.predicate == head
-                    or _plain_var_names(atom) != head_vars
-                ):
-                    ok = False
-                    break
-                base_index, edge_candidate = rule_index, atom.predicate
-            elif len(atoms) == 2:
-                preds = {atom.predicate for atom in atoms}
-                if head not in preds or len(preds) != 2:
-                    ok = False
-                    break
-                tc_atom = next(a for a in atoms if a.predicate == head)
-                edge_atom = next(a for a in atoms if a.predicate != head)
-                tc_vars = _plain_var_names(tc_atom)
-                edge_vars = _plain_var_names(edge_atom)
-                if (
-                    tc_vars is None
-                    or edge_vars is None
-                    or len(tc_vars) != 2
-                    or len(edge_vars) != 2
-                    or len({*head_vars, *tc_vars, *edge_vars}) != 3
-                ):
-                    ok = False
-                    break
-                x, z = head_vars
-                right_linear = tc_vars[0] == x and edge_vars[1] == z and (
-                    tc_vars[1] == edge_vars[0]
-                )
-                left_linear = edge_vars[0] == x and tc_vars[1] == z and (
-                    edge_vars[1] == tc_vars[0]
-                )
-                if not (right_linear or left_linear):
-                    ok = False
-                    break
-                recursive_index, edge_candidate = rule_index, edge_atom.predicate
-            else:
-                ok = False
-                break
-            if edge is None:
-                edge = edge_candidate
-            elif edge != edge_candidate:
-                ok = False
-                break
-        if not ok or base_index < 0 or recursive_index < 0 or edge is None:
-            continue
-        if edge == head or edge in opens:
-            continue
-        if edge in idb and predicate_strata[edge] >= predicate_strata[head]:
-            continue  # same-stratum feedback through the edge
-        specs[head] = IntervalSpec(
-            head=head,
-            edge=edge,
-            base_rule=base_index,
-            recursive_rule=recursive_index,
-        )
-    return specs
-
-
-# ---------------------------------------------------------------------------
 # Stratification
 # ---------------------------------------------------------------------------
 
@@ -595,7 +435,6 @@ def _tarjan_sccs(
 def compile_program(
     program: Program,
     cardinalities: Mapping[str, float] | None = None,
-    interval: bool = True,
 ) -> CompiledProgram:
     """Validate and compile ``program`` for evaluation.
 
@@ -604,11 +443,6 @@ def compile_program(
     text.  Engines re-invoke compilation with live fact counts before a full
     run, so plans track the actual data.  Every positive body atom gets a
     delta-first rewrite (:attr:`CompiledRule.delta_plans`).
-    ``interval`` enables :func:`detect_interval_specs`:
-    eligible transitive-closure rules get every plan step annotated
-    ``interval=True`` and the specs recorded on the compiled program, so
-    the engine can answer those strata from an interval index when the
-    edge relation is a forest at run time.
     """
     stats = program_cardinalities(program)
     if cardinalities:
@@ -668,45 +502,12 @@ def compile_program(
                 delta_plans=delta_plans,
             )
         )
-    interval_specs = (
-        detect_interval_specs(program, predicate_strata) if interval else {}
-    )
-    if interval_specs:
-        marked = {
-            index
-            for spec in interval_specs.values()
-            for index in (spec.base_rule, spec.recursive_rule)
-        }
-        compiled_rules = [
-            _mark_interval(compiled) if index in marked else compiled
-            for index, compiled in enumerate(compiled_rules)
-        ]
     return CompiledProgram(
         program=program,
         rules=tuple(compiled_rules),
         strata_count=strata_count,
         predicate_strata=predicate_strata,
         is_monotone=monotone,
-        interval=interval,
-        interval_specs=interval_specs,
-    )
-
-
-def _mark_interval(compiled: CompiledRule) -> CompiledRule:
-    """Annotate every plan step of an interval-answered rule."""
-
-    def mark(plan: JoinPlan) -> JoinPlan:
-        return replace(
-            plan,
-            steps=tuple(replace(step, interval=True) for step in plan.steps),
-        )
-
-    return replace(
-        compiled,
-        join_plan=mark(compiled.join_plan),
-        delta_plans={
-            position: mark(plan) for position, plan in compiled.delta_plans.items()
-        },
     )
 
 

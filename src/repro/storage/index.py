@@ -1,4 +1,4 @@
-"""Secondary indexes: hash indexes for equality, sorted indexes for ranges.
+"""Secondary indexes: hash indexes for equality lookups.
 
 Indexes map tuples of column values to the primary keys of matching rows.
 They are maintained eagerly by :class:`repro.storage.table.Table` on every
@@ -7,8 +7,7 @@ mutation, so lookups never need revalidation.
 
 from __future__ import annotations
 
-import bisect
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from repro.storage.errors import DuplicateKeyError
 
@@ -95,77 +94,3 @@ class HashIndex:
         kind = "unique hash" if self.unique else "hash"
         return f"<{kind} index on {self.columns} ({len(self._buckets)} keys)>"
 
-
-class SortedIndex:
-    """Ordered index over a single column supporting range scans.
-
-    Backed by a sorted list of ``(value, pk)`` pairs.  ``None`` values are
-    excluded from the ordering (they can never match a range predicate).
-    """
-
-    def __init__(self, column: str) -> None:
-        self.column = column
-        self._entries: list[tuple[Any, PkTuple]] = []
-
-    def add(self, row: dict[str, Any], pk: PkTuple) -> None:
-        value = row[self.column]
-        if value is None:
-            return
-        bisect.insort(self._entries, (value, pk))
-
-    def remove(self, row: dict[str, Any], pk: PkTuple) -> None:
-        value = row[self.column]
-        if value is None:
-            return
-        position = bisect.bisect_left(self._entries, (value, pk))
-        if position < len(self._entries) and self._entries[position] == (value, pk):
-            del self._entries[position]
-
-    def clear(self) -> None:
-        """Drop every entry (table truncation)."""
-        self._entries.clear()
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Iterator[PkTuple]:
-        """Yield primary keys with indexed value in the requested interval.
-
-        ``None`` bounds are open-ended.  Results come out in ascending value
-        order, which :meth:`Query.order_by` exploits when possible.
-        """
-        if low is None:
-            start = 0
-        elif include_low:
-            start = bisect.bisect_left(self._entries, (low,))
-        else:
-            start = bisect.bisect_right(self._entries, (low, _AFTER_ALL))
-        for value, pk in self._entries[start:]:
-            if high is not None:
-                if include_high and value > high:
-                    break
-                if not include_high and value >= high:
-                    break
-            yield pk
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<sorted index on {self.column!r} ({len(self._entries)} entries)>"
-
-
-class _AfterAll:
-    """Sentinel comparing greater than every primary-key tuple."""
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __gt__(self, other: Any) -> bool:
-        return True
-
-
-_AFTER_ALL = _AfterAll()

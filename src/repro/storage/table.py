@@ -11,7 +11,7 @@ from repro.storage.errors import (
     StorageError,
     UnknownColumnError,
 )
-from repro.storage.index import HashIndex, PkTuple, SortedIndex
+from repro.storage.index import HashIndex, PkTuple
 from repro.storage.schema import TableSchema
 from repro.storage.types import coerce_value
 
@@ -39,7 +39,6 @@ class Table:
             HashIndex(constraint, unique=True) for constraint in schema.unique
         ]
         self._hash_indexes: dict[tuple[str, ...], HashIndex] = {}
-        self._sorted_indexes: dict[str, SortedIndex] = {}
         #: Installed by the owning Database while a transaction is active.
         self.undo_sink: UndoSink | None = None
         #: Installed by the owning Database when a storage backend is
@@ -255,18 +254,6 @@ class Table:
         self._hash_indexes[key] = index
         return index
 
-    def create_sorted_index(self, column: str) -> SortedIndex:
-        """Create (or return an existing) sorted index over ``column``."""
-        self.schema._check_columns_exist((column,))
-        existing = self._sorted_indexes.get(column)
-        if existing is not None:
-            return existing
-        index = SortedIndex(column)
-        for pk, row in self._rows.items():
-            index.add(row, pk)
-        self._sorted_indexes[column] = index
-        return index
-
     def lookup(self, columns: Sequence[str], values: Sequence[Any]) -> list[dict]:
         """Equality lookup: copies of the rows whose ``columns`` equal
         ``values``, sorted by primary key.
@@ -317,7 +304,6 @@ class Table:
     def _all_indexes(self):
         yield from self._unique_indexes
         yield from self._hash_indexes.values()
-        yield from self._sorted_indexes.values()
 
     def _index_add(self, row: dict[str, Any], pk: PkTuple) -> None:
         added: list = []

@@ -68,8 +68,3 @@ def coerce_value(value: Any, column_type: ColumnType) -> Any:
             ) from exc
         return value
     raise TypeMismatchError(f"unsupported column type: {column_type!r}")
-
-
-def is_orderable(column_type: ColumnType) -> bool:
-    """Return whether values of ``column_type`` support ``<`` comparisons."""
-    return column_type is not ColumnType.JSON

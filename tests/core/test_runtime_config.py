@@ -258,6 +258,23 @@ class TestRemovedArguments:
         ):
             assert not hasattr(repro.cylog, name), name
 
+    def test_interval_removed(self):
+        """One evaluation path per stratum: the interval access path's
+        keyword is unknown to the engine and the compiler, and its index
+        and spec types are gone from the package."""
+        import repro.cylog
+        from repro.cylog import SemiNaiveEngine, compile_program, parse_program
+
+        program = parse_program("e(1, 2). t(X, Y) :- e(X, Y).")
+        for build in (
+            lambda: SemiNaiveEngine(program, interval=False),
+            lambda: compile_program(program, interval=True),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        for name in ("IntervalHierarchyIndex", "IntervalSpec"):
+            assert not hasattr(repro.cylog, name), name
+
     def test_process_pool_not_imported(self):
         """Importing the platform loads no process-pool machinery."""
         probe = (

@@ -4,7 +4,7 @@
 comparisons, optional aggregate — safe by construction) and ``update_ops``
 random add/retract streams over the EDB predicates, for the
 ``engine-diff`` oracle (incremental vs from-scratch).  ``forest_ops``
-churns the tree-shaped ``TREE_PROGRAM`` for its interval leg, in the
+churns the tree-shaped ``TREE_PROGRAM`` for its tree-churn leg, in the
 same ``(assert?, predicate, row)`` shape.
 """
 
@@ -96,10 +96,10 @@ update_ops = st.lists(
 )
 
 
-#: An interval-eligible transitive closure over ``edge`` with a join, a
-#: negation and an aggregate downstream, so interval-produced deltas must
-#: propagate like fixpoint-produced ones; ``unreach`` mixes in a
-#: non-interval head.
+#: A linear transitive closure over ``edge`` with a join, a negation and
+#: an aggregate downstream, so closure deltas under DRed over-delete /
+#: re-derive must propagate through every maintenance path; ``unreach``
+#: negates the closure itself.
 TREE_PROGRAM = """
 tc(X, Y) :- edge(X, Y).
 tc(X, Z) :- tc(X, Y), edge(Y, Z).
@@ -110,20 +110,39 @@ unreach(X, Y) :- edge(X, Y), not tc(Y, X).
 """
 
 #: Node ids for forest churn.  Small enough that random attach streams
-#: routinely create second parents, self-loops and cycles — every op
-#: stream exercises both the interval path and its sound-disable fallback.
+#: routinely create second parents, self-loops and cycles.
 _NODES = st.integers(min_value=0, max_value=11)
 
 
 @st.composite
 def forest_ops(draw) -> list[tuple[bool, str, tuple[int, int]]]:
-    """Churn over ``edge`` in ``update_ops``' shape: attaches, detaches
-    and subtree moves (detach, then re-attach under a new parent).
-    Duplicate attaches and forest-breaking edges are left in on purpose."""
+    """Churn over ``edge`` in ``update_ops``' shape: attaches, grows (a
+    new child under an existing edge's child), detaches, subtree moves
+    (detach, then re-attach under a new parent) and shortcuts (``a -> c``
+    over an existing ``a -> b -> c``), which give closure rows a second
+    derivation, so a later detach makes DRed over-delete rows it must
+    re-derive.  Duplicate attaches and forest-breaking edges are left in
+    on purpose."""
     ops: list[tuple[bool, str, tuple[int, int]]] = []
     edges: list[tuple[int, int]] = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
-        kind = draw(st.sampled_from(("attach", "attach", "attach", "detach", "move")))
+        kind = draw(
+            st.sampled_from(("attach", "grow", "detach", "move", "shortcut"))
+        )
+        if kind == "grow" and edges:
+            grown = (draw(st.sampled_from(edges))[1], draw(_NODES))
+            ops.append((True, "edge", grown))
+            edges.append(grown)
+            continue
+        if kind == "shortcut" and edges:
+            first = draw(st.sampled_from(edges))
+            nexts = [edge for edge in edges if edge[0] == first[1]]
+            if nexts:
+                shortcut = (first[0], draw(st.sampled_from(nexts))[1])
+                ops.append((True, "edge", shortcut))
+                edges.append(shortcut)
+                continue
+            kind = "attach"
         if kind == "attach" or not edges:
             edge = (draw(_NODES), draw(_NODES))
             ops.append((True, "edge", edge))

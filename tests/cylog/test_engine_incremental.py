@@ -17,11 +17,8 @@ from repro.cylog.errors import CyLogTypeError
 from repro.cylog.parser import parse_program
 
 
-def _engine(source: str, interval: bool = True) -> SemiNaiveEngine:
-    """``interval=False`` pins the fixpoint path for tests that assert the
-    counting/DRed internals a closure served from the interval index would
-    (correctly) bypass."""
-    engine = SemiNaiveEngine(parse_program(source), interval=interval)
+def _engine(source: str) -> SemiNaiveEngine:
+    engine = SemiNaiveEngine(parse_program(source))
     engine.run()
     return engine
 
@@ -159,17 +156,12 @@ class TestRecursiveRetraction:
         """Deleting the only *grounded* support of path(1,3) forces a DRed
         over-delete; the tuple is re-derived through the recursive
         path(1,2) + edge(2,3) derivation and the net report shows only the
-        base edge leaving.  Interval is pinned off: the retraction leaves a
-        forest, so the index would otherwise serve the exact delta with no
-        over-delete at all."""
-        engine = _engine(
-            """
+        base edge leaving."""
+        engine = _engine("""
             edge(1, 2). edge(2, 3). edge(1, 3).
             path(X, Y) :- edge(X, Y).
             path(X, Y) :- path(X, Z), edge(Z, Y).
-            """,
-            interval=False,
-        )
+        """)
         engine.retract_facts("edge", [(1, 3)])
         result = engine.run()
         assert result.facts("path") == {(1, 2), (2, 3), (1, 3)}

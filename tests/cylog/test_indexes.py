@@ -86,9 +86,7 @@ class TestEngineStats:
     """
 
     def test_counters_populated_by_a_run(self):
-        # interval pinned off: the chain closure is interval-eligible and
-        # would otherwise bypass the join counters this test pins.
-        engine = SemiNaiveEngine(parse_program(self.SOURCE), interval=False)
+        engine = SemiNaiveEngine(parse_program(self.SOURCE))
         engine.run()
         stats = engine.stats
         assert stats.full_runs == 1
@@ -97,16 +95,6 @@ class TestEngineStats:
         assert stats.index_hits > 0
         assert stats.rounds >= 1
         assert stats.plans  # chosen plans are exposed for observability
-        assert stats.interval_scans == 0  # path disabled
-
-    def test_interval_counters_populated_by_a_run(self):
-        engine = SemiNaiveEngine(parse_program(self.SOURCE))
-        engine.run()
-        stats = engine.stats
-        assert stats.full_runs == 1
-        assert stats.tuples_derived == 6  # same closure, served by ranges
-        assert stats.interval_scans > 0
-        assert stats.rounds == 0  # no fixpoint rounds needed
 
     def test_incremental_run_counted(self):
         engine = SemiNaiveEngine(parse_program(self.SOURCE))

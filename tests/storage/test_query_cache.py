@@ -65,7 +65,6 @@ class TestTableVersions:
         with a hash index (MultiKeyHashIndex had no ``clear``)."""
         table = db.table("item")
         hash_index = table.create_index(("color",))
-        sorted_index = table.create_sorted_index("size")
         db.insert("item", {"id": "a", "color": "red", "size": 1})
         db.insert("item", {"id": "b", "color": "red", "size": 2})
         before = table.version
@@ -73,7 +72,6 @@ class TestTableVersions:
         assert table.version > before
         assert len(table) == 0
         assert hash_index.lookup("red") == set()
-        assert list(sorted_index.range()) == []
 
 
 class TestIndexRollbackSync:
@@ -92,17 +90,6 @@ class TestIndexRollbackSync:
         assert table.lookup(("color",), ("red",)) == [
             {"id": "a", "color": "red", "size": 1}
         ]
-
-    def test_sorted_index_survives_chained_updates_and_rollback(self, db):
-        table = db.table("item")
-        sorted_index = table.create_sorted_index("size")
-        db.insert("item", {"id": "a", "color": "red", "size": 1})
-        db.begin()
-        db.update("item", ("a",), {"size": 5})
-        db.update("item", ("a",), {"id": "z", "size": 9})
-        db.rollback()
-        assert list(sorted_index.range()) == [("a",)]
-        assert [r["size"] for r in db.table("item").rows()] == [1]
 
     def test_delete_rollback_restores_index(self, db):
         table = db.table("item")

@@ -163,24 +163,6 @@ class TestIndexes:
     def test_create_index_idempotent(self, table):
         assert table.create_index(("age",)) is table.create_index(("age",))
 
-    def test_sorted_index_range(self, table):
-        sorted_index = table.create_sorted_index("age")
-        for i, age in enumerate([25, 30, 35, 40]):
-            table.insert({"id": f"w{i}", "age": age})
-        pks = list(sorted_index.range(low=30, high=35))
-        assert pks == [("w1",), ("w2",)]
-
-    def test_sorted_index_exclusive_bounds(self, table):
-        sorted_index = table.create_sorted_index("age")
-        for i, age in enumerate([25, 30, 35]):
-            table.insert({"id": f"w{i}", "age": age})
-        assert list(sorted_index.range(low=25, include_low=False)) == [
-            ("w1",), ("w2",),
-        ]
-        assert list(sorted_index.range(high=35, include_high=False)) == [
-            ("w0",), ("w1",),
-        ]
-
     def test_rows_iteration_gives_copies(self, table):
         table.insert({"id": "a", "age": 1})
         for row in table.rows():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.storage.errors import TypeMismatchError
-from repro.storage.types import ColumnType, coerce_value, is_orderable
+from repro.storage.types import ColumnType, coerce_value
 
 
 class TestCoercion:
@@ -59,13 +59,3 @@ class TestCoercion:
     def test_none_passes_every_type(self):
         for column_type in ColumnType:
             assert coerce_value(None, column_type) is None
-
-
-class TestOrderable:
-    def test_json_not_orderable(self):
-        assert not is_orderable(ColumnType.JSON)
-
-    def test_scalars_orderable(self):
-        for column_type in (ColumnType.INT, ColumnType.FLOAT, ColumnType.TEXT,
-                            ColumnType.BOOL):
-            assert is_orderable(column_type)

@@ -180,7 +180,6 @@ class TestFormatTable:
         for counter in (
             "rounds",
             "tuples_retracted",
-            "interval_scans",
             "tuples_copied",
         ):
             assert counter in table, counter
